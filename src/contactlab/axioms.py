@@ -26,6 +26,28 @@ component collapses to the instance without that pair.  Consequently the
 ``d2`` checker at level n scans distinct nonzero unrelated pairs at every size
 m <= n, which also makes the level hierarchy explicitly monotone.
 
+Column test.  An *admissible column* is a non-top element m lying above one
+component of every non-contact pair (the prime-ideal ground points of the
+representation layer).  Every selector sum over all non-contact pairs is
+admissible or the top, and every admissible m lies above such a sum.  The
+premises of d1+, d2 and d2minus only grow with the pair set, so a violation
+exists at some level exactly when it exists over all pairs, where the
+selector sums can be replaced by the columns.  With D(x) the meet of the
+down-sets of the columns above x (everything if there are none):
+
+* d1+ fails at some level iff D(a) is not inside the down-set of a for
+  some a;
+* d2 fails at some level iff some contact pair (a, b) has every column
+  above a or above b;
+* d2minus fails with first pair (x1, y1) iff some b in D(x1) and a in
+  D(y1) are in contact.
+
+This test is polynomial in the carrier size and the number of pairs.  Each
+pair-subset search runs only when the test finds a violation, and then
+returns the least-level witness in the fixed enumeration order.  ``examined``
+counts the elements (for d2minus, first-slot pairs) the test looks at plus
+the candidates the search scans.
+
 Note on ``d2minus``: two one-sided conventions are possible.  Here the b-side
 bound is required exactly on selectors picking the first component of the
 distinguished pair and the a-side bound on the remaining selectors; this is
@@ -256,14 +278,83 @@ def _selector_sums(
     return [index[s] for s in sums]
 
 
+def admissible_column_masks(
+    cs: ContactStructure,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Admissible columns and, per element, the columns above it.
+
+    The columns are the carrier indices m, top excluded, above at least one
+    component of every non-contact pair, ascending.  Bit j of ``above[x]``
+    is set iff x <= columns[j].
+    """
+    lattice = cs.lattice
+    leq, below = lattice.leq_masks, lattice.below_masks
+    admissible = full_mask(lattice.size) & ~(1 << lattice.top)
+    for x, y in cs.contact.noncontact_pairs():
+        admissible &= leq[x] | leq[y]
+    columns = tuple(iter_bits(admissible))
+    above = [0] * lattice.size
+    for j, m in enumerate(columns):
+        bit = 1 << j
+        for x in iter_bits(below[m]):
+            above[x] |= bit
+    return columns, tuple(above)
+
+
+def _column_meets(
+    cs: ContactStructure, columns: tuple[int, ...], masks: list[int] | tuple[int, ...]
+) -> list[int]:
+    """Per column mask, the carrier elements below every column in it
+    (everything for the empty mask)."""
+    below = cs.lattice.below_masks
+    everything = full_mask(cs.lattice.size)
+    memo: dict[int, int] = {}
+    out = []
+    for mask in masks:
+        meet = memo.get(mask)
+        if meet is None:
+            meet = everything
+            for j in iter_bits(mask):
+                meet &= below[columns[j]]
+            memo[mask] = meet
+        out.append(meet)
+    return out
+
+
+def _column_domains(cs: ContactStructure) -> list[int]:
+    """D(x) for every element x: the meet of the down-sets of the columns
+    above x, i.e. what x plus every selector sum over all pairs bounds."""
+    columns, above = admissible_column_masks(cs)
+    return _column_meets(cs, columns, above)
+
+
+def _d1plus_violated(cs: ContactStructure) -> bool:
+    """Column test: d1+ fails at some level."""
+    below = cs.lattice.below_masks
+    return any(dom & ~below[a] for a, dom in enumerate(_column_domains(cs)))
+
+
+def _d2_violated(cs: ContactStructure) -> bool:
+    """Column test: d2 fails at some level, i.e. some contact pair has every
+    column above one of its components (an uncovered contact pair)."""
+    columns, above = admissible_column_masks(cs)
+    everything = full_mask(len(columns))
+    cover = _column_meets(cs, columns, [everything ^ m for m in above])
+    rows = cs.contact.rows
+    return any(rows[a] & cover[a] for a in range(1, cs.size))
+
+
 def _first_d1plus_violation(
     cs: ContactStructure, max_size: int
 ) -> tuple[int | None, Witness | None, int]:
-    """Least pair-count m <= max_size at which d1+ has a violation."""
+    """Least pair-count m <= max_size at which d1+ has a violation; the
+    search runs only if the column test finds one at some level."""
     lattice = cs.lattice
+    examined = lattice.size
+    if not _d1plus_violated(cs):
+        return None, None, examined
     below = lattice.below_masks
     pairs = cs.contact.noncontact_pairs()
-    examined = 0
     everything = full_mask(lattice.size)
     for m in range(1, min(max_size, len(pairs)) + 1):
         for combo in combinations(pairs, m):
@@ -313,13 +404,16 @@ def _first_d2_violation(
     For each pair combination, each element gets a domination profile: the
     set of selectors whose sum bounds it, as a 2^m-bit mask.  A violating
     pair is a contact pair whose profiles cover all selectors, so the inner
-    quantifier alternation reduces to mask arithmetic.
+    quantifier alternation reduces to mask arithmetic.  The search runs only
+    if the column test finds a violation at some level.
     """
     lattice, rel = cs.lattice, cs.contact
-    leq_masks = lattice.leq_masks
     size = lattice.size
+    examined = size
+    if not _d2_violated(cs):
+        return None, None, examined
+    leq_masks = lattice.leq_masks
     pairs = rel.noncontact_pairs()
-    examined = 0
     for m in range(1, min(max_size, len(pairs)) + 1):
         full_profile = full_mask(1 << m)
         for combo in combinations(pairs, m):
@@ -360,7 +454,10 @@ def check_d2(cs: ContactStructure, n: int) -> Verdict:
 
 def decide_d2_all(cs: ContactStructure) -> Verdict:
     """d2 at every level; levels beyond the distinct-pair count only repeat
-    summands, so the scan is exhaustive.  A fail reports the least level."""
+    summands, so the scan is exhaustive.  It fails iff some contact pair
+    (a, b) has every admissible column above a or above b, which the column
+    test decides in polynomial time; only then does the pair-subset search
+    run, and the fail reports the least level with its witness."""
     start = time.perf_counter()
     bound = len(cs.contact.noncontact_pairs())
     m, witness, examined = _first_d2_violation(cs, bound)
@@ -424,6 +521,10 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
     including pairs involving 0 (those do not reduce away on this slot);
     remaining slots range over distinct nonzero unrelated pairs.  Orientation
     of the distinguished pair is absorbed by scanning ordered (a, b).
+
+    A distinguished pair (x1, y1) is searched only if the column test finds
+    some b in D(x1) in contact with some a in D(y1): with all remaining pairs
+    in play, D(x1) and D(y1) are exactly the b-side and a-side bounds.
     """
     start = time.perf_counter()
     lattice, rel = cs.lattice, cs.contact
@@ -437,8 +538,18 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
         for j in range(i, size)
         if not (rel.rows[i] >> j) & 1
     ]
+    domains = _column_domains(cs)
+    reach = []
+    for dom in domains:
+        touched = 0
+        for b in iter_bits(dom):
+            touched |= rel.rows[b]
+        reach.append(touched)
     examined = 0
     for x1, y1 in first_slot:
+        examined += 1
+        if not reach[x1] & domains[y1]:
+            continue
         pool = [p for p in nonzero_pairs if p != (x1, y1)]
         for r in range(len(pool) + 1):
             for rest in combinations(pool, r):

@@ -34,7 +34,7 @@ from .certificates import (
     witness_check_entry,
 )
 from .constructions import ConstructionError, build_separator
-from .core import CapExceededError
+from .core import CapExceededError, SettingError
 from .enumeration import (
     TABLE_ORACLE_CAP,
     classify_corpus,
@@ -56,6 +56,16 @@ from .serialize import (
 )
 
 SN_CERTIFICATE_CAP = 4
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _usage_error(message: str) -> int:
@@ -358,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run one axiom checker on a structure file")
     check.add_argument("input")
     check.add_argument("axiom", choices=sorted(CHECKERS))
-    check.add_argument("--n", type=int, default=None, help="schema level")
+    check.add_argument("--n", type=_positive_int, default=None, help="schema level")
     check.add_argument("--out", default=None)
     check.add_argument("--seed", type=int, default=None)
     check.set_defaults(func=cmd_check)
@@ -372,11 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enumerate", help="classify all small contact semilattices")
     enum.add_argument("--max-size", type=int, required=True)
-    enum.add_argument("--depth", type=int, default=3, help="d1+/d2 level bound")
+    enum.add_argument("--depth", type=_positive_int, default=3, help="d1+/d2 level bound")
     enum.add_argument("--oracle", action="store_true",
                       help="cross-check class counts against the table oracle")
     enum.add_argument("--out", required=True, help="output directory")
-    enum.add_argument("--threads", type=int, default=1)
+    enum.add_argument("--threads", type=_positive_int, default=1)
     enum.add_argument("--seed", type=int, default=None)
     enum.set_defaults(func=cmd_enumerate)
 
@@ -397,13 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidContactError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
+    except (SchemaError, InvalidContactError, CapExceededError, SettingError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

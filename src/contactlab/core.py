@@ -27,14 +27,21 @@ class CapExceededError(ValueError):
     """A requested ground-set width exceeds the configured cap."""
 
 
+class SettingError(ValueError):
+    """An environment setting holds an unusable value."""
+
+
 def width_cap() -> int:
     """Ground-width cap; overridable through CONTACTLAB_WIDTH_CAP."""
     raw = os.environ.get(WIDTH_CAP_ENV)
     if raw is None:
         return DEFAULT_WIDTH_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError(f"{WIDTH_CAP_ENV} must be positive, got {raw!r}")
+        raise SettingError(f"{WIDTH_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -285,11 +292,10 @@ class ContactRelation:
     def noncontact_pairs(self) -> list[tuple[int, int]]:
         """Unrelated unordered pairs of distinct nonzero indices, ascending."""
         out = []
+        everything = full_mask(self.size)
         for i in range(1, self.size):
-            row = self.rows[i]
-            for j in range(i + 1, self.size):
-                if not (row >> j) & 1:
-                    out.append((i, j))
+            for j in iter_bits((everything & ~self.rows[i]) >> (i + 1)):
+                out.append((i, i + 1 + j))
         return out
 
 

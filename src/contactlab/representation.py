@@ -18,16 +18,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any
 
-from .axioms import require_weak_contact
+from .axioms import admissible_column_masks, require_weak_contact
 from .core import ContactStructure, full_mask, iter_bits
 
 
 @dataclass(frozen=True)
 class ColumnSet:
     """Carrier indices usable as ground points: the elements m whose
-    complement-filter contains no non-contact pair."""
+    complement-filter contains no non-contact pair.  Bit j of ``above[x]``
+    is set iff element x is below ``columns[j]``."""
 
     columns: tuple[int, ...]
+    above: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -109,40 +111,21 @@ class Exhausted:
 def admissible_columns(cs: ContactStructure) -> ColumnSet:
     """All m, excluding the maximum, below which at least one component of
     every non-contact pair fits."""
-    lattice = cs.lattice
-    below = lattice.below_masks
-    pairs = cs.contact.noncontact_pairs()
-    cols = []
-    for m in range(lattice.size):
-        if m == lattice.top:
-            continue
-        ok = True
-        for a, b in pairs:
-            if not ((below[m] >> a) & 1 or (below[m] >> b) & 1):
-                ok = False
-                break
-        if ok:
-            cols.append(m)
-    return ColumnSet(tuple(cols))
+    columns, above = admissible_column_masks(cs)
+    return ColumnSet(columns, above)
 
 
-def _canonical_images(cs: ContactStructure, columns: tuple[int, ...]) -> tuple[int, ...]:
-    lattice = cs.lattice
-    images = []
-    for x in range(lattice.size):
-        mask = lattice.leq_masks[x]
-        img = 0
-        for j, m in enumerate(columns):
-            if not (mask >> m) & 1:
-                img |= 1 << j
-        images.append(img)
-    return tuple(images)
+def _canonical_images(column_set: ColumnSet) -> tuple[int, ...]:
+    """Each element maps to the columns it is not below."""
+    everything = full_mask(len(column_set.columns))
+    return tuple(everything ^ mask for mask in column_set.above)
 
 
 def _decide(cs: ContactStructure, mode: str) -> Representation | Refusal:
     require_weak_contact(cs)
-    cols = admissible_columns(cs).columns
-    images = _canonical_images(cs, cols)
+    column_set = admissible_columns(cs)
+    cols = column_set.columns
+    images = _canonical_images(column_set)
     # Join preservation and order preservation are automatic for filter
     # columns; zero-reflection and injectivity are the live conditions.
     seen: dict[int, int] = {}

@@ -238,3 +238,28 @@ def test_seed_flag_accepted_but_not_semantic(tmp_path):
         sort_keys=True,
     )
     assert strip(ca) == strip(cb)
+
+
+def test_nonpositive_level_and_threads_are_usage_errors(s2_file, tmp_path, capsys):
+    for argv in (
+        ["check", s2_file, "d2", "--n", "0"],
+        ["check", s2_file, "d1plus", "--n", "0"],
+        ["check", s2_file, "d2", "--n", "-2"],
+        ["enumerate", "--max-size", "3", "--threads", "0", "--out", str(tmp_path / "t0")],
+        ["enumerate", "--max-size", "3", "--threads", "-1", "--out", str(tmp_path / "t1")],
+        ["enumerate", "--max-size", "3", "--depth", "0", "--out", str(tmp_path / "t2")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "t0").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-4"])
+def test_bad_width_cap_setting_is_input_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("CONTACTLAB_WIDTH_CAP", value)
+    assert main(["sn", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: CONTACTLAB_WIDTH_CAP")
+    assert "Traceback" not in err
