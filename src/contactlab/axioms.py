@@ -594,7 +594,8 @@ def profile_of(
     additive = check_additive(cs).passed
     # A missing violation means the schema holds at every level, not just the
     # scanned ones: levels beyond the distinct-pair count only repeat summands.
-    m1, _, _ = _first_d1plus_violation(cs, d1_plus_max)
+    # d1 is d1+ at level 1, so the scan reaches level 1 at least.
+    m1, _, _ = _first_d1plus_violation(cs, max(d1_plus_max, 1))
     bound = len(cs.contact.noncontact_pairs())
     m2, _, _ = _first_d2_violation(cs, bound)
     first1 = m1 if m1 is not None else float("inf")
@@ -602,7 +603,7 @@ def profile_of(
     return AxiomProfile(
         weak_contact=True,
         additive=additive,
-        d1=check_d1(cs).passed,
+        d1=1 < first1,
         d1_plus=tuple(n < first1 for n in range(1, d1_plus_max + 1)),
         d2=tuple(n < first2 for n in range(1, d2_max + 1)),
         d2_minus=check_d2_minus(cs).passed,

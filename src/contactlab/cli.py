@@ -26,6 +26,9 @@ from .axioms import (
 from .certificates import (
     axiom_entry,
     build_certificate,
+    certificate_entries,
+    decide_representation,
+    entry_matches_expectation,
     fact_entry,
     representation_entry,
     separator_entry,
@@ -42,16 +45,13 @@ from .enumeration import (
     count_semilattice_tables,
     enumerate_semilattices,
 )
-from .representation import (
-    Representation,
-    decide_overlap_representable,
-    decide_weak_representable,
-)
 from .serialize import (
     SchemaError,
     canonical_dumps,
+    load_json_file,
     load_structure_file,
     representation_to_dot,
+    structure_from_json,
     structure_to_dot,
 )
 
@@ -98,10 +98,7 @@ def _print_entries(entries: list[dict]) -> None:
             line = f"{entry.get('fact')}: {entry.get('value')}"
         expected = entry.get("expected")
         if expected is not None:
-            ok = (
-                entry.get("verdict", entry.get("valid", entry.get("value")))
-                == expected
-            )
+            ok = entry_matches_expectation(entry)
             line += f"  [expected {expected}: {'ok' if ok else 'MISMATCH'}]"
         print(line)
 
@@ -192,19 +189,7 @@ def cmd_represent(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     cs, roles = load_structure_file(args.input)
     require_weak_contact(cs)
-    decide = (
-        decide_weak_representable
-        if args.mode == "weak"
-        else decide_overlap_representable
-    )
-    result = decide(cs)
-    if isinstance(result, Representation):
-        result.validate(cs)
-        outcome = "success"
-        payload = result.to_json()
-    else:
-        outcome = "refusal"
-        payload = result.to_json()
+    outcome, payload = decide_representation(cs, args.mode)
     entries = [representation_entry(args.mode, outcome, payload)]
     _print_entries(entries)
     if outcome == "refusal":
@@ -300,14 +285,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_certificate(args: argparse.Namespace) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            cert = json.load(handle)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{args.input} is not valid JSON: {exc}") from exc
-    problems = verify_certificate(cert)
+    problems = verify_certificate(load_json_file(args.input))
     if problems:
         for problem in problems:
             print(problem)
@@ -317,30 +295,19 @@ def cmd_verify_certificate(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{args.input} is not valid JSON: {exc}") from exc
+    data = load_json_file(args.input)
+    structure, payloads = data, []
     if isinstance(data, dict) and "entries" in data:
-        rep_entries = [
-            e
-            for e in data["entries"]
-            if e.get("kind") == "representation" and e.get("outcome") == "success"
+        structure = data.get("structure")
+        payloads = [
+            e.get("payload")
+            for e in certificate_entries(data)
+            if e["kind"] == "representation" and e.get("outcome") == "success"
         ]
-        if rep_entries:
-            dot = representation_to_dot(rep_entries[0]["payload"])
-        else:
-            from .serialize import structure_from_json
-
-            cs, roles = structure_from_json(data.get("structure"))
-            dot = structure_to_dot(cs, roles or None)
+    if payloads:
+        dot = representation_to_dot(payloads[0])
     else:
-        from .serialize import structure_from_json
-
-        cs, roles = structure_from_json(data)
+        cs, roles = structure_from_json(structure)
         dot = structure_to_dot(cs, roles or None)
     if args.out:
         Path(args.out).write_text(dot, encoding="utf-8")

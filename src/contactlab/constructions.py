@@ -281,8 +281,7 @@ def check_embedding_criterion(cmap: ContactMap) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# lazy ambient-extension facts, for widths where the full powerset relation
-# cannot be materialized
+# ambient-extension facts, evaluated without materializing the powerset
 
 
 def ambient_related(sep: SeparatorStructure, b1: Bits, b2: Bits) -> bool:

@@ -130,15 +130,19 @@ def structure_sha256(payload: dict[str, Any]) -> str:
     return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
 
 
-def load_structure_file(path: str) -> tuple[ContactStructure, dict[str, int]]:
+def load_json_file(path: str) -> Any:
+    """Parsed contents of a JSON file; SchemaError if unreadable or invalid."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    return structure_from_json(data)
+
+
+def load_structure_file(path: str) -> tuple[ContactStructure, dict[str, int]]:
+    return structure_from_json(load_json_file(path))
 
 
 def write_structure_file(
@@ -191,10 +195,19 @@ def structure_to_dot(
     return "\n".join(lines) + "\n"
 
 
-def representation_to_dot(rep_payload: dict[str, Any]) -> str:
+def representation_to_dot(rep_payload: Any) -> str:
     """Bipartite element/column incidence of a representation payload."""
-    columns = rep_payload["columns"]
-    images = rep_payload["images"]
+    if not isinstance(rep_payload, dict):
+        raise SchemaError("payload: expected a representation object")
+    columns = rep_payload.get("columns")
+    images = rep_payload.get("images")
+    if not isinstance(columns, list) or not all(isinstance(m, int) for m in columns):
+        raise SchemaError("payload.columns: expected a list of ints")
+    if not isinstance(images, list):
+        raise SchemaError("payload.images: expected a list of hex masks")
+    for pos, img_hex in enumerate(images):
+        if not isinstance(img_hex, str) or not _HEX.match(img_hex):
+            raise SchemaError(f"payload.images[{pos}]: expected a lowercase hex string")
     lines = ["graph representation {", "  rankdir=LR;", '  node [fontname="monospace"];']
     for x in range(len(images)):
         lines.append(f'  e{x} [label="x{x}", shape=box];')

@@ -23,6 +23,7 @@ from contactlab.core import (
     contact_from_related_pairs,
     join_closure,
 )
+from contactlab.enumeration import enumerate_contacts, enumerate_semilattices
 
 
 def chain3_with_dropped_pair():
@@ -384,6 +385,19 @@ def test_profile_levels_beyond_pair_count_pass(ps2):
     # one non-contact pair, no violation at level 1: all levels pass
     profile = profile_of(ps2, d2_max=4)
     assert profile.d2 == (True, True, True, True)
+
+
+def test_profile_d1_agrees_with_check_d1_on_every_contact_to_size_six():
+    # profile_of reads d1 off its own d1+ scan, whatever its depth
+    failing = 0
+    for lattice in enumerate_semilattices(6):
+        for relation in enumerate_contacts(lattice):
+            cs = ContactStructure(lattice, relation)
+            d1 = check_d1(cs).passed
+            failing += not d1
+            for depth in (0, 1, 3):
+                assert profile_of(cs, d1_plus_max=depth).d1 == d1
+    assert failing
 
 
 def test_verdict_serialization_roundtrip(m3):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import contactlab
+from contactlab import constructions
 from contactlab.certificates import verify_certificate
 from contactlab.cli import main
 from contactlab.serialize import write_structure_file
@@ -200,6 +201,64 @@ def test_verify_certificate_bad_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
     assert main(["verify-certificate", str(bad)]) == 2
+
+
+def test_sn_and_verify_never_build_the_ambient_powerset(monkeypatch, tmp_path):
+    def refuse(width):
+        raise AssertionError(f"powerset of width {width} materialized")
+
+    monkeypatch.setattr(constructions, "powerset_lattice", refuse)
+    for n in (2, 3, 4):
+        out = tmp_path / f"sn{n}.json"
+        assert main(["sn", "--n", str(n), "--out", str(out)]) == 0
+        assert main(["verify-certificate", str(out)]) == 0
+
+
+def _assert_input_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda cert: cert.update(entries=5),
+        lambda cert: cert["entries"].append(3),
+        lambda cert: cert.update(conclusion=[]),
+        lambda cert: cert["entries"].append({"fact": "ground_size", "expected": 4}),
+    ],
+    ids=["entries-not-a-list", "entry-not-an-object", "conclusion-not-an-object",
+         "entry-without-kind"],
+)
+def test_verify_certificate_malformed_entries(tmp_path, capsys, mutate):
+    out = tmp_path / "sn2.json"
+    assert main(["sn", "--n", "2", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    mutate(cert)
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    _assert_input_error(["verify-certificate", str(out)], capsys)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda cert: cert["entries"][0]["payload"].pop("images"),
+        lambda cert: cert["entries"][0]["payload"]["images"].__setitem__(0, "zz"),
+        lambda cert: cert["entries"].insert(0, "representation"),
+    ],
+    ids=["payload-without-images", "non-hex-image", "entry-not-an-object"],
+)
+def test_export_dot_malformed_certificate(s2_file, tmp_path, capsys, mutate):
+    out = tmp_path / "rep.json"
+    assert main(["represent", s2_file, "--mode", "weak", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    mutate(cert)
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    _assert_input_error(["export-dot", str(out)], capsys)
 
 
 def test_export_dot(s2_file, tmp_path, capsys):

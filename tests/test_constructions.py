@@ -1,5 +1,6 @@
 """Witness constructions: parity products, separators, contact extensions."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -26,7 +27,13 @@ from contactlab.constructions import (
     parity_products_sum_form,
     powerset_lattice,
 )
-from contactlab.core import ContactStructure, is_subset
+from contactlab.certificates import separator_extension_facts
+from contactlab.core import (
+    ContactStructure,
+    contact_all_except,
+    is_subset,
+    overlap_contact,
+)
 from contactlab.enumeration import enumerate_contacts
 
 
@@ -229,6 +236,64 @@ def test_ambient_extension_facts(sep2, sep3):
         assert facts == {"preserves": True, "reflects": True, "nonadditive": True}
 
 
+def materialized_extension_facts(sep):
+    """The separator extension facts on the materialized ambient powerset
+    and extension relation: the oracle for the lazy path (n <= 3)."""
+    incl = inclusion_into_ambient(sep)
+    ext = min_contact_extension(incl)
+    ext_cs = ContactStructure(incl.target, ext)
+    rel = sep.structure.contact
+    kappa = incl.kappa
+    return {
+        "extension_embedding_criterion": check_embedding_criterion(incl).passed,
+        "extension_weak_contact": check_weak_contact(ext_cs).passed,
+        "extension_preserves": all(
+            ext.related(kappa[i], kappa[j])
+            for i in range(1, sep.structure.size)
+            for j in range(i, sep.structure.size)
+            if rel.related(i, j)
+        ),
+        "extension_reflects": all(
+            not ext.related(kappa[i], kappa[j]) for i, j in rel.noncontact_pairs()
+        ),
+        "extension_nonadditive": not check_additive(ext_cs).passed,
+    }
+
+
+def test_separator_extension_facts_match_materialized_oracle(sep2, sep3):
+    for sep in (sep2, sep3):
+        assert list(separator_extension_facts(sep).items()) == list(
+            materialized_extension_facts(sep).items()
+        )
+
+
+def test_separator_extension_facts_on_other_weak_contacts(sep2, sep3):
+    # Other weak contacts on the separator lattices, so that the embedding
+    # facts are seen false too.  The lazy non-additivity fact tests one
+    # instance (the odd product against the split even product), so it only
+    # implies the oracle's verdict.
+    seen = set()
+    for sep in (sep2, sep3):
+        lattice = sep.structure.lattice
+        gen = sep.literal_pairs[0][0]
+        for contact in (
+            overlap_contact(lattice),
+            contact_all_except(lattice.size, [(sep.even_product, sep.odd_product)]),
+            contact_all_except(lattice.size, [(gen, sep.even_product)]),
+        ):
+            variant = replace(sep, structure=ContactStructure(lattice, contact))
+            assert check_weak_contact(variant.structure).passed
+            facts = separator_extension_facts(variant)
+            oracle = materialized_extension_facts(variant)
+            assert facts.pop("extension_nonadditive") <= oracle.pop(
+                "extension_nonadditive"
+            )
+            assert facts == oracle
+            seen |= set(facts.items())
+    assert ("extension_embedding_criterion", False) in seen
+    assert ("extension_reflects", False) in seen
+
+
 def test_powerset_lattice_cap():
     with pytest.raises(ValueError):
         powerset_lattice(21)
@@ -247,3 +312,5 @@ def test_separator_pattern_extends_to_level_five():
         assert check_d2(cs, level).passed
     assert not check_d2(cs, 5).passed
     assert revalidate(cs, "d2", {"n": 5}, sep.expected_d2_witness())
+    facts = separator_extension_facts(sep)
+    assert len(facts) == 5 and all(facts.values())
