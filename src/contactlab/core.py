@@ -355,3 +355,24 @@ class ContactStructure:
     @property
     def size(self) -> int:
         return self.lattice.size
+
+    @cached_property
+    def admissible_column_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Admissible columns and, per element, the columns above it.
+
+        The columns are the carrier indices m, top excluded, above at least
+        one component of every non-contact pair, ascending.  Bit j of
+        ``above[x]`` is set iff x <= columns[j].
+        """
+        lattice = self.lattice
+        leq, below = lattice.leq_masks, lattice.below_masks
+        admissible = full_mask(lattice.size) & ~(1 << lattice.top)
+        for x, y in self.contact.noncontact_pairs():
+            admissible &= leq[x] | leq[y]
+        columns = tuple(iter_bits(admissible))
+        above = [0] * lattice.size
+        for j, m in enumerate(columns):
+            bit = 1 << j
+            for x in iter_bits(below[m]):
+                above[x] |= bit
+        return columns, tuple(above)

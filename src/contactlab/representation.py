@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any
 
-from .axioms import admissible_column_masks, require_weak_contact
+from .axioms import require_weak_contact
 from .core import ContactStructure, full_mask, iter_bits
 
 
@@ -111,8 +111,7 @@ class Exhausted:
 def admissible_columns(cs: ContactStructure) -> ColumnSet:
     """All m, excluding the maximum, below which at least one component of
     every non-contact pair fits."""
-    columns, above = admissible_column_masks(cs)
-    return ColumnSet(columns, above)
+    return ColumnSet(*cs.admissible_column_masks)
 
 
 def _canonical_images(column_set: ColumnSet) -> tuple[int, ...]:

@@ -1,14 +1,17 @@
-"""Ungated pair-subset scans, kept as oracles for the column-gated checkers.
+"""Scans kept as oracles for the library's axiom checkers.
 
-Each scan enumerates subsets of the non-contact pairs exactly as the library
-does, but without the polynomial column test in front, so it is exponential
-in the number of pairs.  The library must return the same verdicts, params
-and witnesses; only the ``examined`` counts differ.
+Each ungated scan enumerates subsets of the non-contact pairs exactly as the
+library does, but without the polynomial column test in front, so it is
+exponential in the number of pairs.  The library must return the same
+verdicts, params and witnesses; only the ``examined`` counts differ.
+``check_d2_naive`` transcribes level-n d2 literally, without the library's
+reductions, so only its verdicts are compared.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from itertools import combinations
 
 from contactlab.axioms import Verdict, Witness, _selector_sums
@@ -117,3 +120,52 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
                             time.perf_counter() - start,
                         )
     return Verdict("d2minus", {}, True, None, examined, time.perf_counter() - start)
+
+
+def check_d2_naive(cs: ContactStructure, n: int) -> Verdict:
+    """Oracle transcription of level-n d2: ordered tuples of unrelated
+    ordered pairs, repetitions and zero components included, with the
+    premise evaluated literally per selector.  Slow; used to cross-check
+    the bucketed checker."""
+    if n < 1:
+        raise ValueError(f"level must be positive, got {n}")
+    start = time.perf_counter()
+    lattice, rel = cs.lattice, cs.contact
+    size = lattice.size
+    carrier, index = lattice.carrier, lattice.index
+    below = lattice.below_masks
+    unrelated = [
+        (x, y)
+        for x in range(size)
+        for y in range(size)
+        if not (rel.rows[x] >> y) & 1
+    ]
+    examined = 0
+
+    def scan(depth: int, sums_bits: list[int]) -> Witness | None:
+        nonlocal examined
+        if depth == n:
+            sums = [index[s] for s in sums_bits]
+            for a in range(size):
+                for b in range(a, size):
+                    examined += 1
+                    if not (rel.rows[a] >> b) & 1:
+                        continue
+                    if all(
+                        (below[s] >> b) & 1 or (below[s] >> a) & 1 for s in sums
+                    ):
+                        return Witness("d2", (("a", a), ("b", b)))
+            return None
+        for x, y in unrelated:
+            cx, cy = carrier[x], carrier[y]
+            extended = [s | cx for s in sums_bits] + [s | cy for s in sums_bits]
+            found = scan(depth + 1, extended)
+            if found is not None:
+                return replace(found, pairs=((x, y),) + found.pairs)
+        return None
+
+    witness = scan(0, [0])
+    return Verdict(
+        "d2-naive", {"n": n}, witness is None, witness, examined,
+        time.perf_counter() - start,
+    )

@@ -13,7 +13,6 @@ from itertools import product
 from contactlab.axioms import (
     check_additive,
     check_d2,
-    check_d2_naive,
     check_weak_contact,
     revalidate_witness,
 )
@@ -51,6 +50,7 @@ from contactlab.serialize import (
     structure_to_json,
     write_structure_file,
 )
+from scan_oracles import check_d2_naive
 
 
 @contextmanager

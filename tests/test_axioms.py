@@ -10,7 +10,6 @@ from contactlab.axioms import (
     check_d1_plus,
     check_d2,
     check_d2_minus,
-    check_d2_naive,
     check_weak_contact,
     decide_d2_all,
     profile_of,
@@ -24,6 +23,7 @@ from contactlab.core import (
     join_closure,
 )
 from contactlab.enumeration import enumerate_contacts, enumerate_semilattices
+from scan_oracles import check_d2_naive
 
 
 def chain3_with_dropped_pair():

@@ -4,15 +4,24 @@ from itertools import permutations
 
 import pytest
 
-from contactlab.axioms import check_d2, check_weak_contact, revalidate_witness
+from contactlab import enumeration
+from contactlab.axioms import (
+    check_d1,
+    check_d2,
+    check_weak_contact,
+    revalidate_witness,
+)
 from contactlab.core import (
     CapExceededError,
     ContactRelation,
     ContactStructure,
     FiniteJoinSemilattice,
+    contact_all_except,
+    iter_bits,
     overlap_contact,
 )
 from contactlab.enumeration import (
+    _class_respecting_perms,
     classify_corpus,
     corpus_implications,
     count_semilattice_tables,
@@ -21,6 +30,7 @@ from contactlab.enumeration import (
     find_minimal_separators,
     iso_class_key,
 )
+from scan_oracles import check_d2_naive
 
 
 def brute_force_contacts(lattice):
@@ -44,6 +54,49 @@ def brute_force_contacts(lattice):
     return valid
 
 
+def join_table_encoding(cs):
+    """Reference canonical form: the k x k join table, read through
+    ``lattice.join``, and the contact rows, minimized over the same
+    class-respecting relabellings as the library key."""
+    lattice, rel = cs.lattice, cs.contact
+    k = lattice.size
+    up = lattice.leq_masks
+    down = lattice.below_masks
+    inv = [
+        (up[i].bit_count(), down[i].bit_count(), rel.rows[i].bit_count())
+        for i in range(k)
+    ]
+    join = lattice.join
+    best = None
+    for p in _class_respecting_perms(inv):
+        q = [0] * k
+        for old, new in enumerate(p):
+            q[new] = old
+        enc = [k]
+        for i in range(k):
+            oi = q[i]
+            for j in range(k):
+                enc.append(p[join(oi, q[j])])
+        for i in range(k):
+            m = 0
+            for j in iter_bits(rel.rows[q[i]]):
+                m |= 1 << p[j]
+            enc.append(m)
+        t = tuple(enc)
+        if best is None or t < best:
+            best = t
+    return best
+
+
+def p3_with_atoms_apart():
+    """The powerset of three points with its three atoms pairwise out of
+    contact and every other nonzero pair in contact."""
+    lattice = FiniteJoinSemilattice(3, tuple(range(8)))
+    return ContactStructure(
+        lattice, contact_all_except(8, [(1, 2), (1, 4), (2, 4)])
+    )
+
+
 def test_class_counts_match_known_lattice_numbers():
     by_size = {}
     for lattice in enumerate_semilattices(7):
@@ -61,7 +114,7 @@ def test_counts_match_table_oracle():
 
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
-        list(enumerate_semilattices(8))
+        list(enumerate_semilattices(9))
     with pytest.raises(CapExceededError):
         count_semilattice_tables(6)
 
@@ -145,6 +198,23 @@ def _leq_after(lattice, p, i, j):
     return lattice.leq(p[i], p[j])
 
 
+def test_iso_key_partition_matches_join_table_reference():
+    # Same classes as the join-table encoding on every contact up to size 7,
+    # across lattices too: each key meets exactly one reference and back.
+    keys, references, both = set(), set(), set()
+    contacts = 0
+    for lattice in enumerate_semilattices(7):
+        for relation in enumerate_contacts(lattice):
+            cs = ContactStructure(lattice, relation)
+            key, reference = iso_class_key(cs), join_table_encoding(cs)
+            keys.add(key)
+            references.add(reference)
+            both.add((key, reference))
+            contacts += 1
+    assert contacts == 2043
+    assert len(keys) == len(references) == len(both) == 558
+
+
 def test_iso_key_separates_structures(ps2):
     lattice = ps2.lattice
     keys = {iso_class_key(ContactStructure(lattice, rel)) for rel in enumerate_contacts(lattice)}
@@ -198,10 +268,44 @@ def test_no_small_separator_exists():
     assert find_minimal_separators(5, 3) == []
 
 
-def test_no_separator_up_to_the_enumeration_cap():
-    # recorded negative at the full cap: the 12-element level-2 witness
-    # remains unbeaten among all carriers <= 7
+def test_no_separator_below_carrier_eight():
+    # recorded negative: no carrier <= 7 passes d1 and level 1 while
+    # failing level 2
     assert find_minimal_separators(7, 2) == []
+
+
+def test_eight_element_level_two_separator():
+    cs = p3_with_atoms_apart()
+    assert check_weak_contact(cs).passed
+    assert check_d1(cs).passed
+    assert check_d2(cs, 1).passed and check_d2_naive(cs, 1).passed
+    verdict = check_d2(cs, 2)
+    assert not verdict.passed and not check_d2_naive(cs, 2).passed
+    assert revalidate_witness(cs, "d2", {"n": 2}, verdict.witness)
+
+
+@pytest.mark.slow
+def test_minimal_level_two_separators_have_carrier_eight(monkeypatch):
+    sizes = [lattice.size for lattice in enumerate_semilattices(8)]
+    assert sizes.count(8) == 222  # OEIS A006966
+    corpus = []
+    classify = enumeration.classify_corpus
+
+    def recording(*args, **kwargs):
+        corpus.extend(classify(*args, **kwargs))
+        return corpus
+
+    monkeypatch.setattr(enumeration, "classify_corpus", recording)
+    hits = find_minimal_separators(8, 2)
+    assert len(corpus) == 6419
+    assert len(hits) == 4 and all(r.structure.size == 8 for r in hits)
+    assert iso_class_key(p3_with_atoms_apart()) in {r.key for r in hits}
+    for record in hits:
+        cs = record.structure
+        assert check_d2_naive(cs, 1).passed
+        verdict = check_d2(cs, 2)
+        assert not verdict.passed and not check_d2_naive(cs, 2).passed
+        assert revalidate_witness(cs, "d2", {"n": 2}, verdict.witness)
 
 
 def test_corpus_record_json_shape():
