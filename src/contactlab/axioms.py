@@ -187,8 +187,24 @@ def check_weak_contact(cs: ContactStructure) -> Verdict:
     Monotonicity is checked as up-closure of each row, which together with
     symmetry is equivalent to the two-sided condition; the witness is always
     reported in the two-sided form (a d b, a <= a1, b <= b1, not a1 d b1).
+
+    ``ContactStructure.is_weak_contact`` decides validity first, checking
+    symmetry and up-closure on the related or the unrelated side of the whole
+    relation, whichever is smaller (see there for why the side cannot be
+    chosen row by row).  A pass reports what the scan below would have
+    examined; only a fail runs the scan, for the first violation in the fixed
+    order.
     """
     start = time.perf_counter()
+    if cs.is_weak_contact:
+        examined = cs.size - 1 + 2 * sum(row.bit_count() for row in cs.contact.rows)
+        return _timed("weak-contact", {}, None, examined, start)
+    return _weak_contact_scan(cs, start)
+
+
+def _weak_contact_scan(cs: ContactStructure, start: float) -> Verdict:
+    """Every clause pair by pair: the nonzero diagonal and zero column, then
+    symmetry over all related pairs, then up-closure of every row."""
     lattice, rel = cs.lattice, cs.contact
     size = lattice.size
     examined = 0
@@ -226,13 +242,14 @@ def check_weak_contact(cs: ContactStructure) -> Verdict:
 
 
 def require_weak_contact(cs: ContactStructure) -> None:
+    if cs.is_weak_contact:
+        return
     verdict = check_weak_contact(cs)
-    if not verdict.passed:
-        assert verdict.witness is not None
-        raise InvalidContactError(
-            f"not a weak contact relation: {verdict.witness.kind} violated at "
-            f"{dict(verdict.witness.elements)}"
-        )
+    assert verdict.witness is not None
+    raise InvalidContactError(
+        f"not a weak contact relation: {verdict.witness.kind} violated at "
+        f"{dict(verdict.witness.elements)}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,37 +295,10 @@ def _selector_sums(
     return [index[s] for s in sums]
 
 
-def _column_meets(
-    cs: ContactStructure, columns: tuple[int, ...], masks: list[int] | tuple[int, ...]
-) -> list[int]:
-    """Per column mask, the carrier elements below every column in it
-    (everything for the empty mask)."""
-    below = cs.lattice.below_masks
-    everything = full_mask(cs.lattice.size)
-    memo: dict[int, int] = {}
-    out = []
-    for mask in masks:
-        meet = memo.get(mask)
-        if meet is None:
-            meet = everything
-            for j in iter_bits(mask):
-                meet &= below[columns[j]]
-            memo[mask] = meet
-        out.append(meet)
-    return out
-
-
-def _column_domains(cs: ContactStructure) -> list[int]:
-    """D(x) for every element x: the meet of the down-sets of the columns
-    above x, i.e. what x plus every selector sum over all pairs bounds."""
-    columns, above = cs.admissible_column_masks
-    return _column_meets(cs, columns, above)
-
-
 def _d1plus_violated(cs: ContactStructure) -> bool:
     """Column test: d1+ fails at some level."""
     below = cs.lattice.below_masks
-    return any(dom & ~below[a] for a, dom in enumerate(_column_domains(cs)))
+    return any(dom & ~below[a] for a, dom in enumerate(cs.column_domains))
 
 
 def _d2_violated(cs: ContactStructure) -> bool:
@@ -316,7 +306,7 @@ def _d2_violated(cs: ContactStructure) -> bool:
     column above one of its components (an uncovered contact pair)."""
     columns, above = cs.admissible_column_masks
     everything = full_mask(len(columns))
-    cover = _column_meets(cs, columns, [everything ^ m for m in above])
+    cover = cs.column_meets([everything ^ m for m in above])
     rows = cs.contact.rows
     return any(rows[a] & cover[a] for a in range(1, cs.size))
 
@@ -380,38 +370,57 @@ def _first_d2_violation(
 
     For each pair combination, each element gets a domination profile: the
     set of selectors whose sum bounds it, as a 2^m-bit mask.  A violating
-    pair is a contact pair whose profiles cover all selectors, so the inner
-    quantifier alternation reduces to mask arithmetic.  The search runs only
-    if the column test finds a violation at some level.
+    pair is a contact pair whose profiles cover all selectors.  Refining the
+    carrier by the down-set of each selector sum in turn groups the elements
+    by profile without a per-element pass over the selectors.  The partners
+    of a are the union of the groups whose profile contains the selectors
+    missing from a's, memoized per missing set, so the least b >= a in
+    contact with a is one bit operation on its row.  Elements are taken in
+    ascending order, so the witness is the least a with its least b.  The
+    search runs only if the column test finds a violation at some level.
     """
     lattice, rel = cs.lattice, cs.contact
     size = lattice.size
     examined = size
     if not _d2_violated(cs):
         return None, None, examined
-    leq_masks = lattice.leq_masks
+    below = lattice.below_masks
+    rows = rel.rows
+    everything = full_mask(size)
     pairs = rel.noncontact_pairs()
     for m in range(1, min(max_size, len(pairs)) + 1):
         full_profile = full_mask(1 << m)
         for combo in combinations(pairs, m):
-            sums = _selector_sums(lattice, combo)
-            profiles = []
-            for e in range(size):
-                mask_e = leq_masks[e]
-                prof = 0
-                for f, s in enumerate(sums):
-                    prof |= ((mask_e >> s) & 1) << f
-                profiles.append(prof)
+            groups = {0: everything}
+            for f, s in enumerate(_selector_sums(lattice, combo)):
+                bit, down = 1 << f, below[s]
+                refined = {}
+                for prof, members in groups.items():
+                    inside = members & down
+                    if inside:
+                        refined[prof | bit] = inside
+                    if inside != members:
+                        refined[prof] = members ^ inside
+                groups = refined
+            profiles = [0] * size
+            for prof, members in groups.items():
+                for e in iter_bits(members):
+                    profiles[e] = prof
+            partners_by_need: dict[int, int] = {}
             for a in range(1, size):
                 examined += 1
-                row = rel.rows[a] >> a
-                prof_a = profiles[a]
-                for off in iter_bits(row):
-                    if prof_a | profiles[a + off] == full_profile:
-                        witness = Witness(
-                            "d2", (("a", a), ("b", a + off)), combo
-                        )
-                        return m, witness, examined
+                need = full_profile ^ profiles[a]
+                partners = partners_by_need.get(need)
+                if partners is None:
+                    partners = 0
+                    for prof, members in groups.items():
+                        if prof & need == need:
+                            partners |= members
+                    partners_by_need[need] = partners
+                hit = (rows[a] & partners) >> a
+                if hit:
+                    b = a + (hit & -hit).bit_length() - 1
+                    return m, Witness("d2", (("a", a), ("b", b)), combo), examined
     return None, None, examined
 
 
@@ -469,7 +478,7 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
         for j in range(i, size)
         if not (rel.rows[i] >> j) & 1
     ]
-    domains = _column_domains(cs)
+    domains = cs.column_domains
     reach = []
     for dom in domains:
         touched = 0

@@ -268,7 +268,9 @@ class ContactRelation:
 
     Bit ``j`` of ``rows[i]`` means index ``i`` is related to index ``j``.
     Validity (symmetry, reflexivity on nonzero, zero-freeness, monotonicity)
-    is checked by ``axioms.check_weak_contact``, not assumed here.
+    is not assumed here: ``ContactStructure.is_weak_contact`` decides it once
+    per structure, and ``axioms.check_weak_contact`` reports a witness when
+    it fails.
     """
 
     size: int
@@ -376,3 +378,70 @@ class ContactStructure:
             for x in iter_bits(below[m]):
                 above[x] |= bit
         return columns, tuple(above)
+
+    def column_meets(self, masks: list[int] | tuple[int, ...]) -> list[int]:
+        """Per column mask (bit j for ``columns[j]``), the carrier elements
+        below every column in it (everything for the empty mask)."""
+        columns, _ = self.admissible_column_masks
+        below = self.lattice.below_masks
+        everything = full_mask(self.size)
+        memo: dict[int, int] = {}
+        out = []
+        for mask in masks:
+            meet = memo.get(mask)
+            if meet is None:
+                meet = everything
+                for j in iter_bits(mask):
+                    meet &= below[columns[j]]
+                memo[mask] = meet
+            out.append(meet)
+        return out
+
+    @cached_property
+    def column_domains(self) -> tuple[int, ...]:
+        """D(x) for every element x: the meet of the down-sets of the columns
+        above x, i.e. what x plus every selector sum over all pairs bounds."""
+        _, above = self.admissible_column_masks
+        return tuple(self.column_meets(above))
+
+    @cached_property
+    def is_weak_contact(self) -> bool:
+        """Whether the relation is a weak contact, in O(size + min(|R|, |N|))
+        row operations, R the related pairs and N the unrelated nonzero ones.
+
+        After row 0, bit 0, the nonzero diagonal and bits beyond the
+        carrier, one side is checked for the whole relation, whichever has
+        fewer pairs.  Related side: i in ``rows[j]`` for every j in
+        ``rows[i]`` (symmetry), and each row holds the up-set of its members
+        (up-closure).  Unrelated side: i not in ``rows[j]`` for every nonzero
+        j outside ``rows[i]`` (the contrapositive of symmetry), and each row
+        misses the down-set of its non-members (an up-set's complement is a
+        down-set).  Up-closure may be checked on either side row by row, but
+        symmetry may not: on the chain 0 < 1 < 2 with rows {1, 2} and {2},
+        row 1 checked on its related side and row 2 on its unrelated side see
+        neither (1, 2) nor (2, 1), and 1 d 2 holds while 2 d 1 does not.
+        """
+        rows = self.contact.rows
+        size = self.size
+        if rows[0]:
+            return False
+        for i in range(1, size):
+            if rows[i] & 1 or not (rows[i] >> i) & 1 or rows[i] >> size:
+                return False
+        nonzero = full_mask(size) ^ 1
+        related = sum(row.bit_count() for row in rows)
+        if 2 * related <= (size - 1) * (size - 1):
+            up = self.lattice.leq_masks
+            for i in range(1, size):
+                row = rows[i]
+                for j in iter_bits(row):
+                    if not (rows[j] >> i) & 1 or up[j] & ~row:
+                        return False
+        else:
+            down = self.lattice.below_masks
+            for i in range(1, size):
+                row = rows[i]
+                for j in iter_bits(nonzero & ~row):
+                    if (rows[j] >> i) & 1 or down[j] & row:
+                        return False
+        return True

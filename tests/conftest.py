@@ -45,3 +45,8 @@ def ps3():
 @pytest.fixture(scope="session")
 def m3():
     return m3_structure()
+
+
+@pytest.fixture(scope="session")
+def sep5():
+    return build_separator(5)

@@ -4,8 +4,12 @@ Each ungated scan enumerates subsets of the non-contact pairs exactly as the
 library does, but without the polynomial column test in front, so it is
 exponential in the number of pairs.  The library must return the same
 verdicts, params and witnesses; only the ``examined`` counts differ.
-``check_d2_naive`` transcribes level-n d2 literally, without the library's
-reductions, so only its verdicts are compared.
+``gated_first_d2_violation`` puts the column test back in front of the
+per-partner d2 scan, and ``check_weak_contact`` walks every pair of the
+relation; the library's profile-group d2 search and one-sided weak-contact
+gate must match them ``examined`` included.  ``check_d2_naive`` transcribes
+level-n d2 literally, without the library's reductions, so only its verdicts
+are compared.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import time
 from dataclasses import replace
 from itertools import combinations
 
-from contactlab.axioms import Verdict, Witness, _selector_sums
+from contactlab.axioms import Verdict, Witness, _d2_violated, _selector_sums
 from contactlab.core import ContactStructure, full_mask, iter_bits
 
 
@@ -70,6 +74,54 @@ def first_d2_violation(cs: ContactStructure, max_size: int):
                         witness = Witness("d2", (("a", a), ("b", a + off)), combo)
                         return m, witness, examined
     return None, None, examined
+
+
+def gated_first_d2_violation(cs: ContactStructure, max_size: int):
+    """The per-partner scan behind the column test: one unit per element
+    for the test, then the scan's own count."""
+    if not _d2_violated(cs):
+        return None, None, cs.size
+    m, witness, examined = first_d2_violation(cs, max_size)
+    return m, witness, cs.size + examined
+
+
+def check_weak_contact(cs: ContactStructure) -> Verdict:
+    """Every weak-contact clause pair by pair: the nonzero diagonal and zero
+    column, symmetry over all related pairs, up-closure of every row."""
+    start = time.perf_counter()
+    lattice, rel = cs.lattice, cs.contact
+    size = lattice.size
+    examined = 0
+
+    def done(witness: Witness | None) -> Verdict:
+        return Verdict("weak-contact", {}, witness is None, witness, examined,
+                       time.perf_counter() - start)
+
+    if rel.rows[0]:
+        return done(Witness("zero", (("a", 0), ("b", next(iter_bits(rel.rows[0]))))))
+    for i in range(1, size):
+        examined += 1
+        if rel.rows[i] & 1:
+            return done(Witness("zero", (("a", i), ("b", 0))))
+        if not (rel.rows[i] >> i) & 1:
+            return done(Witness("reflexivity", (("a", i),)))
+    for i in range(size):
+        for j in iter_bits(rel.rows[i]):
+            examined += 1
+            if not (rel.rows[j] >> i) & 1:
+                return done(Witness("symmetry", (("a", i), ("b", j))))
+    up = lattice.leq_masks
+    for i in range(1, size):
+        row = rel.rows[i]
+        for j in iter_bits(row):
+            examined += 1
+            missing = up[j] & ~row
+            if missing:
+                b1 = next(iter_bits(missing))
+                return done(
+                    Witness("extension", (("a", i), ("b", j), ("a1", i), ("b1", b1)))
+                )
+    return done(None)
 
 
 def check_d2_minus(cs: ContactStructure) -> Verdict:

@@ -51,12 +51,16 @@ def test_extension_violation_detected_with_witness():
 
 
 def test_asymmetry_detected():
+    # Choosing the sparser side row by row would check row 1 on its related
+    # side and row 2 on its unrelated side, and see neither (1, 2) nor (2, 1).
     lattice = join_closure(2, [0b01, 0b11])
     rows = (0, 0b110, 0b100)  # 1 related to 2, but not back
     cs = ContactStructure(lattice, ContactRelation(3, rows))
+    assert not cs.is_weak_contact
     verdict = check_weak_contact(cs)
     assert not verdict.passed
     assert verdict.witness.kind == "symmetry"
+    assert dict(verdict.witness.elements) == {"a": 1, "b": 2}
     assert revalidate_witness(cs, "weak-contact", {}, verdict.witness)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from contactlab.axioms import (
     check_additive,
+    check_d1,
+    check_d2,
     check_weak_contact,
     profile_of,
     revalidate_witness,
@@ -299,18 +301,26 @@ def test_powerset_lattice_cap():
         powerset_lattice(21)
 
 
-@pytest.mark.slow
-def test_separator_pattern_extends_to_level_five():
-    from contactlab.axioms import check_d1, check_d2
-    from contactlab.axioms import revalidate_witness as revalidate
-
-    sep = build_separator(5)
+def _assert_separator_chain(n, size, witness):
+    sep = build_separator(n)
     cs = sep.structure
-    assert cs.size == 506
+    assert cs.size == size
     assert check_d1(cs).passed
-    for level in range(1, 5):
+    for level in range(1, n):
         assert check_d2(cs, level).passed
-    assert not check_d2(cs, 5).passed
-    assert revalidate(cs, "d2", {"n": 5}, sep.expected_d2_witness())
+    verdict = check_d2(cs, n)
+    assert not verdict.passed
+    assert (verdict.witness.element("a"), verdict.witness.element("b")) == witness
+    assert revalidate_witness(cs, "d2", {"n": n}, verdict.witness)
+    assert revalidate_witness(cs, "d2", {"n": n}, sep.expected_d2_witness())
     facts = separator_extension_facts(sep)
     assert len(facts) == 5 and all(facts.values())
+
+
+def test_separator_pattern_extends_to_level_five():
+    _assert_separator_chain(5, 506, (24, 58))
+
+
+@pytest.mark.slow
+def test_separator_pattern_extends_to_level_six():
+    _assert_separator_chain(6, 1676, (48, 121))
