@@ -44,7 +44,6 @@ from .representation import (
     Refusal,
     Representation,
     admissible_columns,
-    brute_force_representation,
     decide_overlap_representable,
     decide_weak_representable,
 )

@@ -364,9 +364,13 @@ def check_d1(cs: ContactStructure) -> Verdict:
 
 
 def _first_d2_violation(
-    cs: ContactStructure, max_size: int
+    cs: ContactStructure,
+    max_size: int,
+    levels: list[tuple[int, float]] | None = None,
 ) -> tuple[int | None, Witness | None, int]:
-    """Least pair-count m <= max_size at which d2 has a violation.
+    """Least pair-count m <= max_size at which d2 has a violation.  Each
+    level the scan completes appends its ``examined`` count and the clock
+    to ``levels``, if given.
 
     For each pair combination, each element gets a domination profile: the
     set of selectors whose sum bounds it, as a 2^m-bit mask.  A violating
@@ -421,6 +425,8 @@ def _first_d2_violation(
                 if hit:
                     b = a + (hit & -hit).bit_length() - 1
                     return m, Witness("d2", (("a", a), ("b", b)), combo), examined
+        if levels is not None:
+            levels.append((examined, time.perf_counter()))
     return None, None, examined
 
 
@@ -436,6 +442,27 @@ def check_d2(cs: ContactStructure, n: int) -> Verdict:
     start = time.perf_counter()
     _, witness, examined = _first_d2_violation(cs, n)
     return _timed("d2", {"n": n}, witness, examined, start)
+
+
+def check_d2_levels(cs: ContactStructure, depth: int) -> list[Verdict]:
+    """``check_d2`` at every level 1..depth from one scan to ``depth``, for
+    callers that want every level (``sn``); it returns ``depth`` verdicts.  A
+    level below the least failing one takes the ``examined`` count and time
+    at which the scan completed it; every other level takes the scan's own
+    outcome, witness and count."""
+    if depth < 1:
+        raise ValueError(f"level must be positive, got {depth}")
+    start = time.perf_counter()
+    levels: list[tuple[int, float]] = []
+    _, witness, examined = _first_d2_violation(cs, depth, levels)
+    passed = [
+        Verdict("d2", {"n": n}, True, None, count, at - start)
+        for n, (count, at) in enumerate(levels, start=1)
+    ]
+    return passed + [
+        _timed("d2", {"n": n}, witness, examined, start)
+        for n in range(len(levels) + 1, depth + 1)
+    ]
 
 
 def decide_d2_all(cs: ContactStructure) -> Verdict:

@@ -19,7 +19,7 @@ from .axioms import (
     CHECKERS,
     InvalidContactError,
     check_d1,
-    check_d2,
+    check_d2_levels,
     require_weak_contact,
     revalidate_witness,
 )
@@ -130,9 +130,9 @@ def cmd_sn(args: argparse.Namespace) -> int:
         ),
         axiom_entry(check_d1(cs), "pass"),
     ]
-    for level in range(1, depth + 1):
+    for level, verdict in enumerate(check_d2_levels(cs, depth), start=1):
         expected = "pass" if level < args.n else "fail"
-        entries.append(axiom_entry(check_d2(cs, level), expected))
+        entries.append(axiom_entry(verdict, expected))
     if depth >= args.n:
         witness = sep.expected_d2_witness()
         entries.append(

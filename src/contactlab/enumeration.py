@@ -9,11 +9,16 @@ as union-closed set families through the canonical filter embedding
 
 One canonical form covers posets and contact structures alike: the least
 relabelling of the up-set masks (and of the contact rows) over permutations
-that fix the bottom and respect cheap isomorphism invariants.  This
-exhaustive minimum stays practical at the size cap of 8 (300 lattices and
-54,888 contacts up to that size).  Contacts on a fixed carrier are exactly
-the overlap relation plus an up-closed set of non-overlapping pairs, so
-they are enumerated by filtering pair subsets.
+that fix the bottom and respect cheap isomorphism invariants.  Contacts on a
+fixed carrier are exactly the overlap relation plus an up-closed set of
+non-overlapping pairs, so they are enumerated by filtering pair subsets.
+
+The lattices are pairwise non-isomorphic, so two contacts are isomorphic
+only if they sit on the same lattice L and an automorphism of L maps one
+onto the other.  Aut(L) is computed once per lattice; the first contact of
+each orbit stands for its class, its orbit is marked seen, and only it is
+keyed by the canonical form.  Up to size 8 that keys the 6,419 classes,
+not the 54,888 contacts.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import permutations, product
 from typing import Any, Iterator
 
-from .axioms import AxiomProfile, profile_of
+from .axioms import AxiomProfile, check_d1, check_d2_levels, profile_of
 from .core import (
     CapExceededError,
     ContactRelation,
@@ -84,6 +90,26 @@ def _class_respecting_perms(invariants: list[Any]) -> Iterator[list[int]]:
             for offset, old in enumerate(arranged):
                 p[old] = start + offset
         yield p
+
+
+def _inverse(p: list[int]) -> list[int]:
+    inverse = [0] * len(p)
+    for old, new in enumerate(p):
+        inverse[new] = old
+    return inverse
+
+
+def _automorphisms(lattice: FiniteJoinSemilattice) -> list[list[int]]:
+    """The non-identity automorphisms of the lattice: the permutations within
+    groups of equal (up-count, down-count) that fix ``leq_masks``.  Each is
+    a class-respecting permutation followed by the inverse of the first."""
+    up, down = lattice.leq_masks, lattice.below_masks
+    perms = _class_respecting_perms(
+        [(up[i].bit_count(), down[i].bit_count()) for i in range(lattice.size)]
+    )
+    back = _inverse(next(perms))
+    within = ([back[new] for new in p] for p in perms)
+    return [q for q in within if _apply_perm(up, q) == up]
 
 
 def _canonical_le(le: tuple[int, ...]) -> tuple[int, ...]:
@@ -218,12 +244,23 @@ def iso_class_key(cs: ContactStructure) -> str:
 
 @dataclass(frozen=True)
 class CorpusRecord:
-    """One isomorphism class with its full profile and representability."""
+    """One isomorphism class.  Its full profile and representability, at the
+    depths in ``provenance``, are computed when first read."""
 
     key: str
     structure: ContactStructure
-    profile: AxiomProfile
     provenance: dict[str, int]
+
+    @cached_property
+    def profile(self) -> AxiomProfile:
+        cs, depths = self.structure, self.provenance
+        return replace(
+            profile_of(cs, d1_plus_max=depths["d1_plus_max"], d2_max=depths["d2_max"]),
+            weak_representable=isinstance(decide_weak_representable(cs), Representation),
+            overlap_representable=isinstance(
+                decide_overlap_representable(cs), Representation
+            ),
+        )
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -235,34 +272,46 @@ class CorpusRecord:
         }
 
 
-def _classify_lattice(
-    args: tuple[FiniteJoinSemilattice, int, int, int]
-) -> list[CorpusRecord]:
-    lattice, d1_plus_max, d2_max, max_size = args
-    provenance = {
-        "max_size": max_size,
-        "d1_plus_max": d1_plus_max,
-        "d2_max": d2_max,
-    }
+def _relabelling(p: list[int]) -> tuple[list[int], list[int]]:
+    """The inverse of p and the image under p of every mask, so that
+    relabelling rows by p takes one lookup per row."""
+    table = [0] * (1 << len(p))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | 1 << p[low.bit_length() - 1]
+    return _inverse(p), table
+
+
+_Job = tuple[FiniteJoinSemilattice, dict[str, int]]  # a lattice and the provenance
+
+
+def _classify_lattice(args: _Job) -> list[CorpusRecord]:
+    """One record per Aut(L) orbit of contacts on the lattice L, keyed and
+    ordered by its first contact (see the module docstring)."""
+    lattice, provenance = args
+    relabellings = [_relabelling(p) for p in _automorphisms(lattice)]
     records = []
-    seen: set[str] = set()
+    seen: set[tuple[int, ...]] = set()
     for contact in enumerate_contacts(lattice):
-        cs = ContactStructure(lattice, contact)
-        key = iso_class_key(cs)
-        if key in seen:
+        rows = contact.rows
+        if rows in seen:
             continue
-        seen.add(key)
-        profile = profile_of(cs, d1_plus_max=d1_plus_max, d2_max=d2_max)
-        profile = replace(
-            profile,
-            weak_representable=isinstance(
-                decide_weak_representable(cs), Representation
-            ),
-            overlap_representable=isinstance(
-                decide_overlap_representable(cs), Representation
-            ),
+        # tuple() of a list allocates exactly; of a generator it can keep
+        # the spare room it grew, and the seen set holds every orbit member.
+        seen.update(
+            tuple([table[rows[i]] for i in inverse])
+            for inverse, table in relabellings
         )
-        records.append(CorpusRecord(key, cs, profile, provenance))
+        cs = ContactStructure(lattice, contact)
+        records.append(CorpusRecord(iso_class_key(cs), cs, provenance))
+    return records
+
+
+def _profiled(args: _Job) -> list[CorpusRecord]:
+    """A worker's share, with the profiles computed in the worker."""
+    records = _classify_lattice(args)
+    for record in records:
+        record.profile  # cached on the record, so pickled with it
     return records
 
 
@@ -272,13 +321,14 @@ def classify_corpus(
     d2_max: int = 3,
     threads: int = 1,
 ) -> list[CorpusRecord]:
-    """Profile and representability for every class; order is deterministic
-    (by carrier size, then isomorphism key) and independent of threads."""
-    lattices = list(enumerate_semilattices(max_size))
-    jobs = [(lat, d1_plus_max, d2_max, max_size) for lat in lattices]
+    """Every class up to max_size; order is deterministic (by carrier size,
+    then isomorphism key) and independent of threads.  With one thread the
+    profiles are computed as they are read; with more, by the workers."""
+    provenance = {"max_size": max_size, "d1_plus_max": d1_plus_max, "d2_max": d2_max}
+    jobs = [(lat, provenance) for lat in enumerate_semilattices(max_size)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_classify_lattice, jobs))
+            chunks = list(pool.map(_profiled, jobs))
     else:
         chunks = [_classify_lattice(job) for job in jobs]
     records = [record for chunk in chunks for record in chunk]
@@ -290,16 +340,19 @@ def find_minimal_separators(
     max_size: int, n: int, threads: int = 1
 ) -> list[CorpusRecord]:
     """Smallest-carrier structures passing d1 and every d2 level below n but
-    failing level n.  Empty means no separator exists up to max_size."""
+    failing level n.  Empty means no separator exists up to max_size.  Each
+    class is screened on d1 and d2 up to level n; with one thread only the
+    hits are then profiled in full, but with more the workers have already
+    profiled every class (see ``classify_corpus``)."""
     if n < 2:
         raise ValueError(f"separation level must be at least 2, got {n}")
     records = classify_corpus(max_size, d1_plus_max=1, d2_max=n, threads=threads)
+    first_fail_at_n = [True] * (n - 1) + [False]
     hits = [
         r
         for r in records
-        if r.profile.d1
-        and all(r.profile.d2[m] for m in range(n - 1))
-        and not r.profile.d2[n - 1]
+        if check_d1(r.structure).passed
+        and [v.passed for v in check_d2_levels(r.structure, n)] == first_fail_at_n
     ]
     if not hits:
         return []
@@ -403,8 +456,5 @@ def count_semilattice_tables(k: int) -> int:
 
 def _labelled_perms(k: int) -> Iterator[tuple[list[int], list[int]]]:
     for perm in permutations(range(1, k)):
-        p = [0] + list(perm)
-        q = [0] * k
-        for old, new in enumerate(p):
-            q[new] = old
-        yield p, q
+        p = [0, *perm]
+        yield p, _inverse(p)

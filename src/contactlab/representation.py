@@ -6,20 +6,16 @@ upward closed, join-prime and 0-free, and in a finite join-semilattice its
 complement is a down-set closed under joins, hence a principal ideal.  So
 candidate ground points can be identified with carrier elements ``m`` and the
 canonical map sends ``a`` to the set of admissible ``m`` with ``a`` not below
-``m``.  This turns representability into a quadratic scan; the exponential
-search survives only inside ``brute_force_representation``, which rediscovers
-valid ground points by definition and exists to cross-check the canonical
-decider.
+``m``.  This turns representability into a quadratic scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Any
 
 from .axioms import require_weak_contact
-from .core import ContactStructure, full_mask, iter_bits
+from .core import ContactStructure, full_mask
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,6 @@ class Refusal:
         }
 
 
-@dataclass(frozen=True)
-class Exhausted:
-    """Brute-force search hit its resource cap before deciding."""
-
-    nodes: int
-
-
 def admissible_columns(cs: ContactStructure) -> ColumnSet:
     """All m, excluding the maximum, below which at least one component of
     every non-contact pair fits."""
@@ -149,75 +138,3 @@ def decide_weak_representable(cs: ContactStructure) -> Representation | Refusal:
 def decide_overlap_representable(cs: ContactStructure) -> Representation | Refusal:
     """Embedding making contact exactly the overlap of images."""
     return _decide(cs, "overlap")
-
-
-def brute_force_representation(
-    cs: ContactStructure,
-    mode: str = "weak",
-    u_max: int | None = None,
-    carrier_cap: int = 8,
-    node_budget: int = 5_000_000,
-) -> Representation | Refusal | Exhausted:
-    """Exhaustive search over join-preserving zero-reflecting maps into
-    powersets of at most u_max points.
-
-    A map is a choice, per ground point, of the set of elements whose image
-    contains it; join preservation forces that set to satisfy, literally,
-    "contains x+y iff it contains x or y".  All such sets are enumerated by
-    brute filtering, then every combination of at most u_max of them is
-    tried.  Shares no machinery with the canonical column decider.
-    """
-    require_weak_contact(cs)
-    size = cs.size
-    if size > carrier_cap:
-        raise ValueError(f"carrier size {size} exceeds oracle cap {carrier_cap}")
-    if u_max is None:
-        u_max = size
-    lattice, rel = cs.lattice, cs.contact
-    noncontact = rel.noncontact_pairs()
-    related = rel.related_pairs()
-
-    rows: list[int] = []
-    for candidate in range(1 << size):
-        if candidate & 1:
-            continue  # the point would lie in the image of 0
-        ok = True
-        for x in range(size):
-            for y in range(x, size):
-                j = lattice.join(x, y)
-                if ((candidate >> j) & 1) != bool((candidate >> x) & 1 or (candidate >> y) & 1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and all(
-            not ((candidate >> a) & 1 and (candidate >> b) & 1) for a, b in noncontact
-        ):
-            rows.append(candidate)
-
-    nonzero = full_mask(size) ^ 1
-    nodes = 0
-    for count in range(min(u_max, len(rows)) + 1):
-        for chosen in combinations(rows, count):
-            nodes += 1
-            if nodes > node_budget:
-                return Exhausted(nodes)
-            covered = 0
-            for r in chosen:
-                covered |= r
-            if covered & nonzero != nonzero:
-                continue
-            images = [0] * size
-            for j, r in enumerate(chosen):
-                for x in iter_bits(r):
-                    images[x] |= 1 << j
-            if len(set(images)) != size:
-                continue
-            if mode == "overlap" and any(
-                not images[i] & images[j] for i, j in related
-            ):
-                continue
-            rep = Representation(mode, tuple(range(count)), tuple(images))
-            rep.validate(cs)
-            return rep
-    return Refusal(mode, "no-representation-within-bounds", ())

@@ -9,17 +9,26 @@ per-partner d2 scan, and ``check_weak_contact`` walks every pair of the
 relation; the library's profile-group d2 search and one-sided weak-contact
 gate must match them ``examined`` included.  ``check_d2_naive`` transcribes
 level-n d2 literally, without the library's reductions, so only its verdicts
-are compared.
+are compared.  ``brute_force_representation`` searches every
+join-preserving map into a small powerset, sharing no machinery with the
+library's column decider.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from contactlab.axioms import Verdict, Witness, _d2_violated, _selector_sums
+from contactlab.axioms import (
+    Verdict,
+    Witness,
+    _d2_violated,
+    _selector_sums,
+    require_weak_contact,
+)
 from contactlab.core import ContactStructure, full_mask, iter_bits
+from contactlab.representation import Refusal, Representation
 
 
 def first_d1plus_violation(cs: ContactStructure, max_size: int):
@@ -221,3 +230,82 @@ def check_d2_naive(cs: ContactStructure, n: int) -> Verdict:
         "d2-naive", {"n": n}, witness is None, witness, examined,
         time.perf_counter() - start,
     )
+
+
+@dataclass(frozen=True)
+class Exhausted:
+    """Brute-force search hit its resource cap before deciding."""
+
+    nodes: int
+
+
+def brute_force_representation(
+    cs: ContactStructure,
+    mode: str = "weak",
+    u_max: int | None = None,
+    carrier_cap: int = 8,
+    node_budget: int = 5_000_000,
+) -> Representation | Refusal | Exhausted:
+    """Exhaustive search over join-preserving zero-reflecting maps into
+    powersets of at most u_max points.
+
+    A map is a choice, per ground point, of the set of elements whose image
+    contains it; join preservation forces that set to satisfy, literally,
+    "contains x+y iff it contains x or y".  All such sets are enumerated by
+    brute filtering, then every combination of at most u_max of them is
+    tried.  Shares no machinery with the canonical column decider.
+    """
+    require_weak_contact(cs)
+    size = cs.size
+    if size > carrier_cap:
+        raise ValueError(f"carrier size {size} exceeds oracle cap {carrier_cap}")
+    if u_max is None:
+        u_max = size
+    lattice, rel = cs.lattice, cs.contact
+    noncontact = rel.noncontact_pairs()
+    related = rel.related_pairs()
+
+    rows: list[int] = []
+    for candidate in range(1 << size):
+        if candidate & 1:
+            continue  # the point would lie in the image of 0
+        ok = True
+        for x in range(size):
+            for y in range(x, size):
+                j = lattice.join(x, y)
+                if ((candidate >> j) & 1) != bool((candidate >> x) & 1 or (candidate >> y) & 1):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok and all(
+            not ((candidate >> a) & 1 and (candidate >> b) & 1) for a, b in noncontact
+        ):
+            rows.append(candidate)
+
+    nonzero = full_mask(size) ^ 1
+    nodes = 0
+    for count in range(min(u_max, len(rows)) + 1):
+        for chosen in combinations(rows, count):
+            nodes += 1
+            if nodes > node_budget:
+                return Exhausted(nodes)
+            covered = 0
+            for r in chosen:
+                covered |= r
+            if covered & nonzero != nonzero:
+                continue
+            images = [0] * size
+            for j, r in enumerate(chosen):
+                for x in iter_bits(r):
+                    images[x] |= 1 << j
+            if len(set(images)) != size:
+                continue
+            if mode == "overlap" and any(
+                not images[i] & images[j] for i, j in related
+            ):
+                continue
+            rep = Representation(mode, tuple(range(count)), tuple(images))
+            rep.validate(cs)
+            return rep
+    return Refusal(mode, "no-representation-within-bounds", ())

@@ -38,9 +38,7 @@ from contactlab.enumeration import (
     enumerate_semilattices,
 )
 from contactlab.representation import (
-    Exhausted,
     Representation,
-    brute_force_representation,
     decide_overlap_representable,
     decide_weak_representable,
 )
@@ -50,7 +48,7 @@ from contactlab.serialize import (
     structure_to_json,
     write_structure_file,
 )
-from scan_oracles import check_d2_naive
+from scan_oracles import Exhausted, brute_force_representation, check_d2_naive
 
 
 @contextmanager

@@ -179,6 +179,18 @@ def test_d2_exact_failure_level(sep2, sep3):
         assert revalidate_witness(cs, "d2", {"n": n}, verdict.witness)
 
 
+def test_d2_level_beyond_pair_count_costs_no_more(sep2, ps2):
+    # A level from outside (`check d2 --n`, a certificate's params) may be
+    # huge; the scan stops at the number of non-contact pairs.
+    for cs in (sep2.structure, ps2):
+        deep = check_d2(cs, 10**9)
+        bounded = check_d2(cs, len(cs.contact.noncontact_pairs()))
+        assert (deep.passed, deep.witness, deep.examined) == (
+            bounded.passed, bounded.witness, bounded.examined
+        )
+        assert deep.elapsed < 1.0
+
+
 def test_designated_witness_revalidates_even_if_not_reported(sep2, sep3):
     for sep in (sep2, sep3):
         witness = sep.expected_d2_witness()

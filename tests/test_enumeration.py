@@ -21,7 +21,9 @@ from contactlab.core import (
     overlap_contact,
 )
 from contactlab.enumeration import (
+    _automorphisms,
     _class_respecting_perms,
+    _classify_lattice,
     classify_corpus,
     corpus_implications,
     count_semilattice_tables,
@@ -86,6 +88,26 @@ def join_table_encoding(cs):
         if best is None or t < best:
             best = t
     return best
+
+
+def key_dedupe(lattice):
+    """Reference dedupe: key every contact, keep the first of each key."""
+    seen, out = set(), []
+    for relation in enumerate_contacts(lattice):
+        key = iso_class_key(ContactStructure(lattice, relation))
+        if key not in seen:
+            seen.add(key)
+            out.append((relation.rows, key))
+    return out
+
+
+def m_k(k):
+    """M_k: zero, k pairwise incomparable atoms, and a top that is the join
+    of any two of them."""
+    full = (1 << k) - 1
+    return FiniteJoinSemilattice(
+        k, tuple(sorted([0, full] + [full ^ (1 << i) for i in range(k)]))
+    )
 
 
 def p3_with_atoms_apart():
@@ -213,6 +235,44 @@ def test_iso_key_partition_matches_join_table_reference():
             contacts += 1
     assert contacts == 2043
     assert len(keys) == len(references) == len(both) == 558
+
+
+def test_orbit_dedupe_matches_key_dedupe():
+    # Same representatives, keys and order as keying every contact, on every
+    # lattice up to size 7.
+    provenance = {"max_size": 7, "d1_plus_max": 1, "d2_max": 1}
+    classes = 0
+    for lattice in enumerate_semilattices(7):
+        records = _classify_lattice((lattice, provenance))
+        got = [(r.structure.contact.rows, r.key) for r in records]
+        assert got == key_dedupe(lattice)
+        classes += len(got)
+    assert classes == 558
+
+
+def test_automorphism_groups():
+    chain = FiniteJoinSemilattice(3, (0b000, 0b001, 0b011, 0b111))
+    p3 = FiniteJoinSemilattice(3, tuple(range(8)))
+    for lattice, order in ((chain, 1), (p3, 6), (m_k(5), 120)):
+        automorphisms = _automorphisms(lattice)
+        assert len(automorphisms) + 1 == order
+        identity = list(range(lattice.size))
+        up = lattice.leq_masks
+        for p in automorphisms:
+            assert p != identity and sorted(p) == identity
+            assert all(
+                (up[p[i]] >> p[j]) & 1 == (up[i] >> j) & 1
+                for i in range(lattice.size)
+                for j in range(lattice.size)
+            )
+
+
+@pytest.mark.parametrize("k, graphs", [(3, 4), (4, 11), (5, 34), (6, 156)])
+def test_classes_on_m_k_are_unlabelled_graphs(k, graphs):
+    # The contacts on M_k are the graphs on its k atoms, so its classes are
+    # the unlabelled graphs on k vertices (OEIS A000088).
+    provenance = {"max_size": k + 2, "d1_plus_max": 1, "d2_max": 1}
+    assert len(_classify_lattice((m_k(k), provenance))) == graphs
 
 
 def test_iso_key_separates_structures(ps2):

@@ -1,5 +1,6 @@
 """The profile-group d2 search and the one-sided weak-contact gate agree with
-the scans they replace.
+the scans they replace, and one d2 pass over several levels agrees with a
+check_d2 call per level.
 
 ``scan_oracles.gated_first_d2_violation`` is the per-partner d2 scan behind
 the same column test, and ``scan_oracles.check_weak_contact`` walks every
@@ -36,6 +37,11 @@ def d2_outcomes(cs, levels=(1, 2, 3)):
 
 
 def assert_d2_agrees(cs, levels=(1, 2, 3)):
+    # One pass to a level beyond the deepest checked gives every level's
+    # verdict as its own check_d2 call does.
+    depth = max(levels) + 1
+    one_pass = [_strip(v) for v in axioms.check_d2_levels(cs, depth)]
+    assert one_pass == [_strip(axioms.check_d2(cs, n)) for n in range(1, depth + 1)]
     library = d2_outcomes(cs, levels)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(axioms, "_first_d2_violation", scan_oracles.gated_first_d2_violation)
@@ -153,3 +159,12 @@ def test_level_five_counters(sep5):
     assert verdict.examined == 15680
     assert dict(verdict.witness.elements) == {"a": 24, "b": 58}
     assert axioms.check_weak_contact(sep5.structure).examined == 510535
+
+
+def test_one_d2_pass_examines_each_level_once():
+    # Per-level calls at n = 4 examine 736 + 1,618 + 2,206 + 2,218 = 6,778
+    # elements; the one pass examines 2,218 and keeps each level's count.
+    verdicts = axioms.check_d2_levels(build_separator(4).structure, 4)
+    assert [v.examined for v in verdicts] == [736, 1618, 2206, 2218]
+    assert [v.passed for v in verdicts] == [True, True, True, False]
+    assert [v.params for v in verdicts] == [{"n": n} for n in range(1, 5)]

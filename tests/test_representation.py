@@ -11,14 +11,13 @@ from contactlab.core import (
 )
 from contactlab.enumeration import classify_corpus
 from contactlab.representation import (
-    Exhausted,
     Refusal,
     Representation,
     admissible_columns,
-    brute_force_representation,
     decide_overlap_representable,
     decide_weak_representable,
 )
+from scan_oracles import Exhausted, brute_force_representation
 
 
 def admissible_by_scan(cs):
