@@ -55,7 +55,7 @@ from .serialize import (
     structure_to_dot,
 )
 
-SN_CERTIFICATE_CAP = 5
+SN_CERTIFICATE_CAP = 6
 
 
 def _positive_int(text: str) -> int:

@@ -15,6 +15,20 @@ The on-disk structure format:
 Hex masks keep files diff-friendly and width-agnostic.  Exports are canonical
 (sorted keys, sorted pair list, two-space indent, trailing newline), so a
 round trip is byte-exact and files can be compared directly.
+
+Byte contract: ``canonical_dumps(x)`` is exactly
+``json.dumps(x, indent=2, sort_keys=True) + "\n"``.  It is written by a small
+recursive writer rather than the pure-Python indenting encoder: strings and
+scalars go through the ``json`` C helpers, and a list of pairs of plain ints
+(``type(v) is int``, so booleans are excluded) is formatted in bulk with one
+``%`` template.  Anything else (empty containers, tuples, subclasses, non-str
+keys) is handed to ``json.dumps`` itself and re-indented.
+
+``structure_from_json`` validates the contact list and builds the relation
+rows in one pass: each pair is type- and range-checked, compared with the
+previous pair for strict ascent (sorted and unique), and OR-ed into its two
+rows.  An order error is reported only after every pair has passed the
+per-pair checks, so the first error named is the same as a two-pass check's.
 """
 
 from __future__ import annotations
@@ -22,12 +36,15 @@ from __future__ import annotations
 import json
 import hashlib
 import re
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
-from .core import ContactStructure, FiniteJoinSemilattice, contact_from_related_pairs
+from .core import ContactRelation, ContactStructure, FiniteJoinSemilattice, iter_bits
 
 SCHEMA_VERSION = 1
 _HEX = re.compile(r"^[0-9a-f]+$")
+_encode_scalar = json.JSONEncoder().encode  # float, bool and None
 
 
 class SchemaError(ValueError):
@@ -43,7 +60,39 @@ def mask_to_hex(mask: int, ground_size: int) -> str:
 
 
 def canonical_dumps(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(value: Any, newline: str) -> str:
+    """``value`` as indented JSON; ``newline`` is "\\n" plus the indent of
+    the line ``value`` starts on."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float or kind is bool or value is None:
+        return _encode_scalar(value)
+    inner = newline + "  "
+    if kind is list and value:
+        sep = "," + inner
+        if set(map(type, value)) == {list} and set(map(len, value)) == {2} and (
+            set(map(type, flat := tuple(chain.from_iterable(value)))) == {int}
+        ):
+            deeper = inner + "  "
+            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+            body = sep.join([pair] * len(value)) % flat
+        else:
+            body = sep.join([_encode(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        body = ("," + inner).join(
+            [_encode_str(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
+        )
+        return "{" + inner + body + newline + "}"
+    # Empty containers, tuples, subclasses and non-str keys: json's own
+    # output, whose only raw newlines are its indentation.
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def structure_to_json(
@@ -55,7 +104,11 @@ def structure_to_json(
         "ground_size": lattice.width,
         "carrier": [mask_to_hex(bits, lattice.width) for bits in lattice.carrier],
         "zero": 0,
-        "contact": [list(p) for p in cs.contact.related_pairs()],
+        "contact": [
+            [i, i + 1 + j]
+            for i, row in enumerate(cs.contact.rows)
+            for j in iter_bits(row >> (i + 1))
+        ],
     }
     if roles is not None:
         payload["roles"] = {name: roles[name] for name in sorted(roles)}
@@ -89,29 +142,7 @@ def structure_from_json(data: Any) -> tuple[ContactStructure, dict[str, int]]:
     except ValueError as exc:
         raise SchemaError(f"carrier: {exc}") from exc
 
-    raw_contact = data.get("contact")
-    if not isinstance(raw_contact, list):
-        raise SchemaError("contact: expected a list of index pairs")
-    pairs: list[tuple[int, int]] = []
-    for pos, item in enumerate(raw_contact):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, int) for v in item)
-        ):
-            raise SchemaError(f"contact[{pos}]: expected a pair of ints")
-        i, j = item
-        if not (0 < i < lattice.size and 0 < j < lattice.size):
-            raise SchemaError(
-                f"contact[{pos}]: pair [{i}, {j}] out of range or touching zero"
-            )
-        if i >= j:
-            raise SchemaError(
-                f"contact[{pos}]: pair [{i}, {j}] must be ascending and irreflexive"
-            )
-        pairs.append((i, j))
-    if pairs != sorted(set(pairs)):
-        raise SchemaError("contact: pairs must be sorted and unique")
+    rows = _contact_rows(data.get("contact"), lattice.size)
 
     roles: dict[str, int] = {}
     raw_roles = data.get("roles", {})
@@ -122,8 +153,38 @@ def structure_from_json(data: Any) -> tuple[ContactStructure, dict[str, int]]:
             raise SchemaError(f"roles[{name!r}]: index {idx!r} out of range")
         roles[str(name)] = idx
 
-    contact = contact_from_related_pairs(lattice.size, pairs)
-    return ContactStructure(lattice, contact), roles
+    return ContactStructure(lattice, ContactRelation(lattice.size, rows)), roles
+
+
+def _contact_rows(raw_contact: Any, size: int) -> tuple[int, ...]:
+    """Relation rows of a contact pair list, validated in one pass."""
+    if not isinstance(raw_contact, list):
+        raise SchemaError("contact: expected a list of index pairs")
+    rows = [0] + [1 << k for k in range(1, size)]
+    prev_i = prev_j = 0
+    disordered = False
+    for pos, item in enumerate(raw_contact):
+        if not isinstance(item, list) or len(item) != 2:
+            raise SchemaError(f"contact[{pos}]: expected a pair of ints")
+        i, j = item
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise SchemaError(f"contact[{pos}]: expected a pair of ints")
+        if not 0 < i < j < size:
+            if 0 < i < size and 0 < j < size:
+                raise SchemaError(
+                    f"contact[{pos}]: pair [{i}, {j}] must be ascending and irreflexive"
+                )
+            raise SchemaError(
+                f"contact[{pos}]: pair [{i}, {j}] out of range or touching zero"
+            )
+        if i <= prev_i and (i < prev_i or j <= prev_j):
+            disordered = True
+        prev_i, prev_j = i, j
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    if disordered:
+        raise SchemaError("contact: pairs must be sorted and unique")
+    return tuple(rows)
 
 
 def structure_sha256(payload: dict[str, Any]) -> str:

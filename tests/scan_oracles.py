@@ -11,11 +11,16 @@ gate must match them ``examined`` included.  ``check_d2_naive`` transcribes
 level-n d2 literally, without the library's reductions, so only its verdicts
 are compared.  ``brute_force_representation`` searches every
 join-preserving map into a small powerset, sharing no machinery with the
-library's column decider.
+library's column decider.  ``canonical_dumps_reference`` is the ``json``
+one-liner the library's canonical writer must match byte for byte, and
+``contact_rows`` is the two-pass contact validation (per-pair checks, then
+``sorted(set(pairs))``) the one-pass structure loader must match, error
+text included.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -27,8 +32,14 @@ from contactlab.axioms import (
     _selector_sums,
     require_weak_contact,
 )
-from contactlab.core import ContactStructure, full_mask, iter_bits
+from contactlab.core import (
+    ContactStructure,
+    contact_from_related_pairs,
+    full_mask,
+    iter_bits,
+)
 from contactlab.representation import Refusal, Representation
+from contactlab.serialize import SchemaError
 
 
 def first_d1plus_violation(cs: ContactStructure, max_size: int):
@@ -309,3 +320,35 @@ def brute_force_representation(
             rep.validate(cs)
             return rep
     return Refusal(mode, "no-representation-within-bounds", ())
+
+
+def canonical_dumps_reference(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def contact_rows(raw_contact, size: int) -> tuple[int, ...]:
+    """Relation rows of a structure's ``contact`` list: every pair is checked
+    first, then the whole list for order and uniqueness."""
+    if not isinstance(raw_contact, list):
+        raise SchemaError("contact: expected a list of index pairs")
+    pairs: list[tuple[int, int]] = []
+    for pos, item in enumerate(raw_contact):
+        if (
+            not isinstance(item, list)
+            or len(item) != 2
+            or not all(isinstance(v, int) for v in item)
+        ):
+            raise SchemaError(f"contact[{pos}]: expected a pair of ints")
+        i, j = item
+        if not (0 < i < size and 0 < j < size):
+            raise SchemaError(
+                f"contact[{pos}]: pair [{i}, {j}] out of range or touching zero"
+            )
+        if i >= j:
+            raise SchemaError(
+                f"contact[{pos}]: pair [{i}, {j}] must be ascending and irreflexive"
+            )
+        pairs.append((i, j))
+    if pairs != sorted(set(pairs)):
+        raise SchemaError("contact: pairs must be sorted and unique")
+    return contact_from_related_pairs(size, pairs).rows

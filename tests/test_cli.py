@@ -34,13 +34,21 @@ def test_sn_certificate_and_exit_code(tmp_path):
 
 def test_sn_usage_errors():
     assert main(["sn", "--n", "1"]) == 2
-    assert main(["sn", "--n", "6"]) == 2
+    assert main(["sn", "--n", "7"]) == 2
     assert main(["sn", "--n", "2", "--depth", "0"]) == 2
 
 
 def test_sn_level_five_certificate_verifies(tmp_path):
     out = tmp_path / "sn5.json"
     assert main(["sn", "--n", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["conclusion"]["ok"] is True
+    assert main(["verify-certificate", str(out)]) == 0
+
+
+@pytest.mark.slow
+def test_sn_level_six_certificate_verifies(tmp_path):
+    out = tmp_path / "sn6.json"
+    assert main(["sn", "--n", "6", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["conclusion"]["ok"] is True
     assert main(["verify-certificate", str(out)]) == 0
 

@@ -93,7 +93,7 @@ def test_d2_agrees_on_every_contact_to_size_six():
     assert checked == 149
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_d2_agrees_on_separators(n):
     assert_d2_agrees(build_separator(n).structure, levels=tuple(range(1, n + 1)))
 
