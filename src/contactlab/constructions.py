@@ -288,24 +288,20 @@ def ambient_related(sep: SeparatorStructure, b1: Bits, b2: Bits) -> bool:
     """Minimal-extension contact on the ambient powerset, evaluated lazily.
 
     On a full powerset a common nonzero lower bound is a nonempty
-    intersection; the second clause scans source elements below each side.
+    intersection; the second clause asks whether a related source pair sits
+    below the two sides, whose source elements are two ``subsets_of`` masks
+    (O(width) big-int operations each).
     """
     if b1 == 0 or b2 == 0:
         return False
     if b1 & b2:
         return True
     lattice = sep.structure.lattice
-    rel = sep.structure.contact
-    m1 = m2 = 0
-    for i, bits in enumerate(lattice.carrier):
-        if bits and is_subset(bits, b1):
-            m1 |= 1 << i
-        if bits and is_subset(bits, b2):
-            m2 |= 1 << i
+    rows = sep.structure.contact.rows
     reach = 0
-    for i in iter_bits(m1):
-        reach |= rel.rows[i]
-    return bool(reach & m2)
+    for i in iter_bits(lattice.subsets_of(b1) & ~1):
+        reach |= rows[i]
+    return bool(reach & lattice.subsets_of(b2) & ~1)
 
 
 def ambient_extension_facts(sep: SeparatorStructure) -> dict[str, bool]:
@@ -314,15 +310,21 @@ def ambient_extension_facts(sep: SeparatorStructure) -> dict[str, bool]:
     ``preserves``/``reflects``: the inclusion is a contact embedding.
     ``nonadditive``: the odd parity product contacts the even one, which
     splits into ambient atoms none of which contacts the odd product.
+
+    Overlapping images are related in the ambient extension, so each row
+    costs one OR of ``point_masks`` per point of its element (O(size * width)
+    big-int operations in all), and ``ambient_related`` runs only on the
+    related pairs that are disjoint, the non-contact pairs and three
+    splitting facts.
     """
     lattice = sep.structure.lattice
     rel = sep.structure.contact
     carrier = lattice.carrier
-    preserves = True
-    for i in range(1, sep.structure.size):
-        for j in iter_bits(rel.rows[i]):
-            if not ambient_related(sep, carrier[i], carrier[j]):
-                preserves = False
+    preserves = all(
+        ambient_related(sep, carrier[i], carrier[j])
+        for i in range(1, sep.structure.size)
+        for j in iter_bits(rel.rows[i] & ~lattice.meeting(carrier[i]))
+    )
     reflects = all(
         not ambient_related(sep, carrier[i], carrier[j])
         for i, j in rel.noncontact_pairs()

@@ -149,6 +149,18 @@ class FiniteJoinSemilattice:
         self.width = width
         self.carrier = tuple(carrier)
         self.index = {bits: i for i, bits in enumerate(self.carrier)}
+        # A sorted family holding 0 is union-closed once a | g is in it for
+        # every a and every union-irreducible g: by induction on g, a
+        # reducible g is the union of smaller elements b1, ..., bm, each
+        # joining into the family, so a | g = (...(a | b1) | ...) | bm does
+        # too.  A level-n separator has 2n + 2 irreducibles.
+        if all(
+            a | self.carrier[g] in self.index
+            for g in self.union_irreducibles()
+            for a in self.carrier
+        ):
+            return
+        # Not closed: the pair scan names its first gap.
         for a in self.carrier:
             for b in self.carrier:
                 if a | b not in self.index:
@@ -160,8 +172,10 @@ class FiniteJoinSemilattice:
     def from_closed_carrier(
         cls, width: int, carrier: tuple[Bits, ...]
     ) -> "FiniteJoinSemilattice":
-        """Carrier already known sorted and union-closed; skips the quadratic
-        re-check.  For construction paths that close the carrier themselves."""
+        """Carrier already known sorted and union-closed; skips the re-check
+        (O(size * width) size-bit big-int operations for ``below_masks`` and
+        the union-irreducibles, plus size dict lookups per irreducible).  For
+        construction paths that close the carrier themselves."""
         self = object.__new__(cls)
         self.width = width
         self.carrier = carrier
@@ -219,25 +233,83 @@ class FiniteJoinSemilattice:
         return tuple(i for i in range(1, self.size) if below[i] == 1 | (1 << i))
 
     @cached_property
+    def point_masks(self) -> tuple[int, ...]:
+        """point_masks[k] has bit i iff ground point k is in carrier[i].
+
+        One transposition of the elements' binary numerals: O(size * width)
+        character operations and ``width`` int parses, no per-bit big-int
+        work.  Every order mask below is a fold of these columns, which
+        assumes size >> width (the separators: 148-1,676 elements on 2^n
+        points).  A carrier wider than it is large costs more here than the
+        O(size^2) pair scans these folds replace.
+        """
+        # bin(bits | sentinel) is "0b1" then exactly width digits, high
+        # first, so column k is every step-th character from step - 1 - k.
+        width = self.width
+        sentinel, step = 1 << width, width + 3
+        numerals = "".join([bin(bits | sentinel) for bits in reversed(self.carrier)])
+        return tuple([int(numerals[step - 1 - k :: step], 2) for k in range(width)])
+
+    def meeting(self, bits: Bits) -> int:
+        """Indices of the carrier elements sharing a point with ``bits``: the
+        OR of ``point_masks[k]`` over the points k of ``bits``."""
+        mask = 0
+        for digit, members in zip(bin(bits)[:1:-1], self.point_masks):
+            if digit == "1":
+                mask |= members
+        return mask
+
+    def subsets_of(self, bits: Bits) -> int:
+        """Indices of the carrier elements inside ``bits``: those meeting no
+        point outside it."""
+        return full_mask(self.size) ^ self.meeting(full_mask(self.width) & ~bits)
+
+    @cached_property
     def leq_masks(self) -> tuple[int, ...]:
-        """leq_masks[i] has bit j iff carrier[i] <= carrier[j]."""
+        """leq_masks[i] has bit j iff carrier[i] <= carrier[j].
+
+        The AND of ``point_masks[k]`` over the points k of carrier[i]: one
+        size-bit AND per point, O(size * width) big-int operations in all
+        (cheaper than a pair scan only while size > width).
+        """
+        everything = full_mask(self.size)
+        points = self.point_masks
         out = []
-        for ci in self.carrier:
-            mask = 0
-            for j, cj in enumerate(self.carrier):
-                if ci & ~cj == 0:
-                    mask |= 1 << j
+        for bits in self.carrier:
+            mask = everything
+            for digit, members in zip(bin(bits)[:1:-1], points):
+                if digit == "1":
+                    mask &= members
             out.append(mask)
         return tuple(out)
 
     @cached_property
     def below_masks(self) -> tuple[int, ...]:
-        """below_masks[j] has bit i iff carrier[i] <= carrier[j]."""
-        out = [0] * self.size
-        for i, mask in enumerate(self.leq_masks):
-            bit = 1 << i
-            for j in iter_bits(mask):
-                out[j] |= bit
+        """below_masks[j] has bit i iff carrier[i] <= carrier[j].
+
+        Everything but the OR of ``point_masks[k]`` over the points k outside
+        carrier[j]: one size-bit OR per such point, O(size * width) big-int
+        operations in all (cheaper than a pair scan only while size > width).
+        """
+        everything, full = full_mask(self.size), full_mask(self.width)
+        return tuple(everything ^ self.meeting(full ^ bits) for bits in self.carrier)
+
+    def union_irreducibles(self) -> tuple[int, ...]:
+        """Indices of the elements that are not the union of the elements
+        strictly below them: g is reducible iff each of its points lies in
+        an element strictly below it, one size-bit AND per point.
+
+        On a union-closed carrier these are the join-irreducibles; on a
+        separator they are its 2n + 2 designated atoms.
+        """
+        points, below = self.point_masks, self.below_masks
+        out = []
+        for g, bits in enumerate(self.carrier):
+            strict = below[g] ^ (1 << g)
+            for digit, members in zip(bin(bits)[:1:-1], points):
+                if digit == "1" and not strict & members:
+                    out.append(g)
+                    break
         return tuple(out)
 
 

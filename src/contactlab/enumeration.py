@@ -149,7 +149,11 @@ def _is_lattice(le: tuple[int, ...]) -> bool:
 
 
 def _realize(le: tuple[int, ...]) -> FiniteJoinSemilattice:
-    """Union-closed family isomorphic to the lattice, via filter columns."""
+    """Union-closed family isomorphic to the lattice, via filter columns.
+
+    A join lies outside column m iff one of its parts does, so the image of
+    a join is the union of the images: the family is union-closed by
+    construction and skips the closure re-check."""
     k = len(le)
     top = next(i for i in range(k) if le[i] == 1 << i)
     columns = [m for m in range(k) if m != top]
@@ -162,7 +166,8 @@ def _realize(le: tuple[int, ...]) -> FiniteJoinSemilattice:
         images.append(img)
     if len(set(images)) != k:
         raise AssertionError("filter embedding must be injective on a lattice")
-    return FiniteJoinSemilattice(len(columns), tuple(sorted(images)))
+    carrier = tuple(sorted(images))
+    return FiniteJoinSemilattice.from_closed_carrier(len(columns), carrier)
 
 
 def enumerate_semilattices(

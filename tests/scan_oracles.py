@@ -15,7 +15,12 @@ library's column decider.  ``canonical_dumps_reference`` is the ``json``
 one-liner the library's canonical writer must match byte for byte, and
 ``contact_rows`` is the two-pass contact validation (per-pair checks, then
 ``sorted(set(pairs))``) the one-pass structure loader must match, error
-text included.
+text included.  ``leq_masks_scan``, ``below_masks_scan`` and
+``semilattice_error`` compare every pair of carrier elements, as the order
+masks and the union-closure check did before they were folded from
+per-point columns; ``ambient_extension_facts_scan`` asks ``ambient_related``
+(``ambient_related_scan``, which walks the carrier) about every related
+pair.  The library must match them, error text included.
 """
 
 from __future__ import annotations
@@ -32,10 +37,14 @@ from contactlab.axioms import (
     _selector_sums,
     require_weak_contact,
 )
+from contactlab.constructions import SeparatorStructure
 from contactlab.core import (
+    Bits,
     ContactStructure,
+    FiniteJoinSemilattice,
     contact_from_related_pairs,
     full_mask,
+    is_subset,
     iter_bits,
 )
 from contactlab.representation import Refusal, Representation
@@ -352,3 +361,84 @@ def contact_rows(raw_contact, size: int) -> tuple[int, ...]:
     if pairs != sorted(set(pairs)):
         raise SchemaError("contact: pairs must be sorted and unique")
     return contact_from_related_pairs(size, pairs).rows
+
+
+def leq_masks_scan(lattice: FiniteJoinSemilattice) -> tuple[int, ...]:
+    out = []
+    for ci in lattice.carrier:
+        mask = 0
+        for j, cj in enumerate(lattice.carrier):
+            if ci & ~cj == 0:
+                mask |= 1 << j
+        out.append(mask)
+    return tuple(out)
+
+
+def below_masks_scan(lattice: FiniteJoinSemilattice) -> tuple[int, ...]:
+    out = [0] * lattice.size
+    for i, mask in enumerate(leq_masks_scan(lattice)):
+        bit = 1 << i
+        for j in iter_bits(mask):
+            out[j] |= bit
+    return tuple(out)
+
+
+def semilattice_error(width: int, carrier: tuple[Bits, ...]) -> str | None:
+    """The ``ValueError`` text ``FiniteJoinSemilattice(width, carrier)``
+    raises, or None; union-closure is checked on every pair."""
+    if not carrier or carrier[0] != 0:
+        return "carrier must contain the empty set first"
+    if list(carrier) != sorted(set(carrier)):
+        return "carrier must be strictly sorted by bit pattern"
+    if carrier[-1] < 0 or carrier[-1] >> width:
+        return f"bit vector {carrier[-1]:#x} exceeds width {width}"
+    members = set(carrier)
+    for a in carrier:
+        for b in carrier:
+            if a | b not in members:
+                return f"carrier not union-closed: {a:#x} | {b:#x} missing"
+    return None
+
+
+def ambient_related_scan(sep: SeparatorStructure, b1: Bits, b2: Bits) -> bool:
+    if b1 == 0 or b2 == 0:
+        return False
+    if b1 & b2:
+        return True
+    lattice = sep.structure.lattice
+    rel = sep.structure.contact
+    m1 = m2 = 0
+    for i, bits in enumerate(lattice.carrier):
+        if bits and is_subset(bits, b1):
+            m1 |= 1 << i
+        if bits and is_subset(bits, b2):
+            m2 |= 1 << i
+    reach = 0
+    for i in iter_bits(m1):
+        reach |= rel.rows[i]
+    return bool(reach & m2)
+
+
+def ambient_extension_facts_scan(sep: SeparatorStructure) -> dict[str, bool]:
+    lattice = sep.structure.lattice
+    rel = sep.structure.contact
+    carrier = lattice.carrier
+    preserves = True
+    for i in range(1, sep.structure.size):
+        for j in iter_bits(rel.rows[i]):
+            if not ambient_related_scan(sep, carrier[i], carrier[j]):
+                preserves = False
+    reflects = all(
+        not ambient_related_scan(sep, carrier[i], carrier[j])
+        for i, j in rel.noncontact_pairs()
+    )
+    even_bits = carrier[sep.even_product]
+    odd_bits = carrier[sep.odd_product]
+    first_atom = even_bits & -even_bits
+    rest = even_bits ^ first_atom
+    nonadditive = (
+        ambient_related_scan(sep, odd_bits, even_bits)
+        and not ambient_related_scan(sep, odd_bits, first_atom)
+        and not ambient_related_scan(sep, odd_bits, rest)
+    )
+    return {"preserves": preserves, "reflects": reflects, "nonadditive": nonadditive}

@@ -10,6 +10,7 @@ import pytest
 import contactlab
 from contactlab import constructions
 from contactlab.certificates import verify_certificate
+from contactlab import cli
 from contactlab.cli import main
 from contactlab.serialize import write_structure_file
 
@@ -113,6 +114,30 @@ def test_check_rejects_bad_input(tmp_path, s2_file):
     broken.write_text(json.dumps(payload))
     assert main(["check", str(broken), "weak-contact"]) == 1
     assert main(["check", str(broken), "d1"]) == 2
+
+
+def test_parser_built_once_gives_fresh_parser_results(s2_file, capsys, monkeypatch):
+    """Several main calls on the one cached parser exit and print as they
+    would with a parser built per call."""
+    runs = (["check", s2_file, "d2", "--n", "x"], ["check", s2_file, "d1"], ["sn", "--n", "99"])
+
+    def outcomes():
+        out = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = outcomes()
+    assert [code for code, _, _ in cached] == [2, 0, 2]
+    assert "argument --n: expected a positive integer, got 'x'" in cached[0][2]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert outcomes() == cached
 
 
 def test_represent_exit_codes(s2_file, tmp_path):
