@@ -34,7 +34,6 @@ from .axioms import (
 from .constructions import (
     ContactMap,
     SeparatorStructure,
-    build_free_algebra,
     build_separator,
     check_embedding_criterion,
     min_contact_extension,

@@ -36,10 +36,14 @@ from .representation import (
 from .serialize import (
     SCHEMA_VERSION,
     SchemaError,
+    mask_to_hex,
     structure_from_json,
     structure_to_json,
     structure_sha256,
 )
+
+# Largest separator level a certificate is written or re-derived for.
+SN_CERTIFICATE_CAP = 6
 
 
 def compute_fact(cs: ContactStructure, name: str) -> Any:
@@ -84,6 +88,25 @@ def separator_extension_facts(sep: SeparatorStructure) -> dict[str, bool]:
         "extension_reflects": lazy["reflects"],
         "extension_nonadditive": lazy["nonadditive"],
     }
+
+
+def matches_canonical_construction(
+    raw: dict[str, Any], cs: ContactStructure, sep: SeparatorStructure
+) -> bool:
+    """Whether ``raw``, a structure payload that ``structure_from_json``
+    loaded as ``cs``, equals ``structure_to_json(sep.structure, sep.roles)``,
+    without building that payload (1.4M pairs at n = 6).  The loader has
+    fixed ``version`` and ``zero`` and accepts only a sorted, duplicate-free
+    pair list, which is therefore determined by the rows it yields."""
+    lattice = sep.structure.lattice
+    return (
+        raw.keys() == {"version", "ground_size", "carrier", "zero", "contact", "roles"}
+        and raw["ground_size"] == lattice.width
+        and raw["carrier"]
+        == [mask_to_hex(bits, lattice.width) for bits in lattice.carrier]
+        and raw["roles"] == sep.roles
+        and cs.contact.rows == sep.structure.contact.rows
+    )
 
 
 def decide_representation(
@@ -213,6 +236,15 @@ def verify_certificate(cert: Any) -> list[str]:
     if not isinstance(conclusion, dict):
         raise SchemaError("conclusion: expected an object")
 
+    if any(entry["kind"] == "separator" for entry in entries):
+        params = cert["parameters"]
+        n = params.get("n") if isinstance(params, dict) else None
+        if not isinstance(n, int) or not 2 <= n <= SN_CERTIFICATE_CAP:
+            raise SchemaError(
+                f"parameters.n: a separator certificate needs an int in "
+                f"2..{SN_CERTIFICATE_CAP}, got {n!r}"
+            )
+
     cs, _roles = structure_from_json(cert["structure"])
     if structure_sha256(cert["structure"]) != cert["structure_sha256"]:
         problems.append("structure_sha256 does not match the embedded structure")
@@ -223,7 +255,7 @@ def verify_certificate(cert: Any) -> list[str]:
     def rebuilt_separator() -> SeparatorStructure:
         nonlocal sep
         if sep is None:
-            sep = build_separator(int(cert["parameters"]["n"]))
+            sep = build_separator(cert["parameters"]["n"])
         return sep
 
     for pos, entry in enumerate(entries):
@@ -254,9 +286,8 @@ def verify_certificate(cert: Any) -> list[str]:
             elif kind == "separator":
                 fact = entry["fact"]
                 if fact == "matches_canonical_construction":
-                    rebuilt = rebuilt_separator()
-                    value = structure_to_json(rebuilt.structure, rebuilt.roles) == (
-                        cert["structure"]
+                    value = matches_canonical_construction(
+                        cert["structure"], cs, rebuilt_separator()
                     )
                 else:
                     if sep_facts is None:

@@ -25,6 +25,7 @@ from .axioms import (
     revalidate_witness,
 )
 from .certificates import (
+    SN_CERTIFICATE_CAP,
     axiom_entry,
     build_certificate,
     certificate_entries,
@@ -38,14 +39,8 @@ from .certificates import (
     witness_check_entry,
 )
 from .constructions import ConstructionError, build_separator
-from .core import CapExceededError, SettingError
-from .enumeration import (
-    TABLE_ORACLE_CAP,
-    classify_corpus,
-    corpus_implications,
-    count_semilattice_tables,
-    enumerate_semilattices,
-)
+from .core import CapExceededError
+from .enumeration import classify_corpus, corpus_implications
 from .serialize import (
     SchemaError,
     canonical_dumps,
@@ -55,8 +50,6 @@ from .serialize import (
     structure_from_json,
     structure_to_dot,
 )
-
-SN_CERTIFICATE_CAP = 6
 
 
 def _positive_int(text: str) -> int:
@@ -249,40 +242,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             writer.writerow(row)
 
     report = corpus_implications(records)
-    failures = 0
-    oracle_report = None
-    if args.oracle:
-        limit = min(args.max_size, TABLE_ORACLE_CAP)
-        lattices = list(enumerate_semilattices(args.max_size))
-        by_size: dict[int, int] = {}
-        for lat in lattices:
-            by_size[lat.size] = by_size.get(lat.size, 0) + 1
-        oracle_report = []
-        for size in range(1, limit + 1):
-            expected = count_semilattice_tables(size)
-            got = by_size.get(size, 0)
-            oracle_report.append(
-                {"size": size, "enumerated": got, "table_oracle": expected}
-            )
-            if got != expected:
-                failures += 1
-
     with open(out_dir / "implications.json", "w", encoding="utf-8") as handle:
-        payload = {"implications": report, "oracle": oracle_report}
-        handle.write(canonical_dumps(payload))
+        handle.write(canonical_dumps({"implications": report}))
 
     print(f"{len(records)} structure classes up to size {args.max_size}")
     for item in report:
         status = "ok" if not item["violations"] else "VIOLATED"
         print(f"{item['name']}: {status} ({item['checked']} checked)")
-        failures += len(item["violations"])
-    if oracle_report is not None:
-        for item in oracle_report:
-            print(
-                f"size {item['size']}: {item['enumerated']} classes, "
-                f"table oracle {item['table_oracle']}"
-            )
-    return 1 if failures else 0
+    return 1 if any(item["violations"] for item in report) else 0
 
 
 def cmd_verify_certificate(args: argparse.Namespace) -> int:
@@ -354,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate", help="classify all small contact semilattices")
     enum.add_argument("--max-size", type=int, required=True)
     enum.add_argument("--depth", type=_positive_int, default=3, help="d1+/d2 level bound")
-    enum.add_argument("--oracle", action="store_true",
-                      help="cross-check class counts against the table oracle")
     enum.add_argument("--out", required=True, help="output directory")
     enum.add_argument("--threads", type=_positive_int, default=1)
     enum.add_argument("--seed", type=int, default=None)
@@ -378,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, InvalidContactError, CapExceededError, SettingError) as exc:
+    except (SchemaError, InvalidContactError, CapExceededError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,11 +8,10 @@ at level n, which is what makes the family useful as a certificate corpus.
 
 Parity products come in two normal forms.  The defining form is a product of
 selector sums (``parity_products``); expanding by De Morgan gives a sum of
-full literal products with the parities swapped when n is even
-(``parity_products_sum_form``).  A display of the second form as a product is
-a known slip in circulation; both routes are computed here and checked equal,
-and the complement identity between the two products is validated at build
-time.
+full literal products with the parities swapped when n is even.  A display of
+the second form as a product is a known slip in circulation.  The tests check
+both forms equal, and the two products complements of each other, up to
+n = 10; ``build_separator`` relies on neither.
 """
 
 from __future__ import annotations
@@ -47,55 +46,23 @@ class ZeroReflectionError(ValueError):
     """A map sends a nonzero element to zero, or zero to nonzero."""
 
 
-def build_free_algebra(n: int, cap: int | None = None) -> FreeBooleanAlgebra:
-    """Free Boolean algebra on n generators over the 2^n valuation points."""
-    return FreeBooleanAlgebra.build(n, cap)
-
-
-def _selector_parities(n: int):
-    for f in range(1 << n):
-        yield f, f.bit_count() & 1
-
-
-def parity_products(n: int, cap: int | None = None) -> tuple[Bits, Bits]:
+def parity_products(n: int) -> tuple[Bits, Bits]:
     """(even, odd) parity products in the free algebra on n generators.
 
     The even product multiplies the selector sums of even-parity selectors,
     the odd product those of odd parity.  They are complements of each other.
     """
-    ba = build_free_algebra(n, cap)
+    ba = FreeBooleanAlgebra.build(n)
     even = odd = ba.full
-    for f, parity in _selector_parities(n):
+    for f in range(1 << n):
         s = 0
         for i in range(1, n + 1):
             s |= ba.literal(i, (f >> (n - i)) & 1)
-        if parity:
+        if f.bit_count() & 1:
             odd &= s
         else:
             even &= s
     return even, odd
-
-
-def parity_products_sum_form(n: int, cap: int | None = None) -> tuple[Bits, Bits]:
-    """The same two elements computed as sums of full literal products.
-
-    For odd n the even product collects even-parity full products; for even n
-    the parities swap.  Returned in the same (even, odd) order as
-    ``parity_products``.
-    """
-    ba = build_free_algebra(n, cap)
-    even_sum = odd_sum = 0
-    for f, parity in _selector_parities(n):
-        p = ba.full
-        for i in range(1, n + 1):
-            p &= ba.literal(i, (f >> (n - i)) & 1)
-        if parity:
-            odd_sum |= p
-        else:
-            even_sum |= p
-    if n % 2:
-        return even_sum, odd_sum
-    return odd_sum, even_sum
 
 
 @dataclass(frozen=True)
@@ -140,7 +107,7 @@ class SeparatorStructure:
         )
 
 
-def build_separator(n: int, cap: int | None = None) -> SeparatorStructure:
+def build_separator(n: int) -> SeparatorStructure:
     """Build and eagerly validate the level-n separator (n >= 2).
 
     Every structural fact the certificates rely on is re-verified here;
@@ -148,8 +115,8 @@ def build_separator(n: int, cap: int | None = None) -> SeparatorStructure:
     """
     if n < 2:
         raise ValueError(f"separator needs n >= 2, got {n}")
-    ba = build_free_algebra(n, cap)
-    even, odd = parity_products(n, cap)
+    ba = FreeBooleanAlgebra.build(n)
+    even, odd = parity_products(n)
     literals = [(ba.literal(i, 0), ba.literal(i, 1)) for i in range(1, n + 1)]
     gen_masks = [m for pair in literals for m in pair] + [even, odd]
 

@@ -12,37 +12,19 @@ so values can be shared freely across threads or processes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 Bits = int  # subset of a ground set; bit k <-> ground point k
 
-DEFAULT_WIDTH_CAP = 1024
-WIDTH_CAP_ENV = "CONTACTLAB_WIDTH_CAP"
+# Widest ground set a free algebra or a structure file may have.  Order
+# masks cost O(size * width), so the cap also bounds what a file can ask for.
+WIDTH_CAP = 1024
 
 
 class CapExceededError(ValueError):
-    """A requested ground-set width exceeds the configured cap."""
-
-
-class SettingError(ValueError):
-    """An environment setting holds an unusable value."""
-
-
-def width_cap() -> int:
-    """Ground-width cap; overridable through CONTACTLAB_WIDTH_CAP."""
-    raw = os.environ.get(WIDTH_CAP_ENV)
-    if raw is None:
-        return DEFAULT_WIDTH_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise SettingError(f"{WIDTH_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
+    """A requested ground-set width exceeds the cap."""
 
 
 def full_mask(width: int) -> Bits:
@@ -83,14 +65,13 @@ class FreeBooleanAlgebra:
     cogenerators: tuple[Bits, ...]
 
     @classmethod
-    def build(cls, n: int, cap: int | None = None) -> "FreeBooleanAlgebra":
+    def build(cls, n: int) -> "FreeBooleanAlgebra":
         if n < 1:
             raise ValueError(f"generator count must be positive, got {n}")
-        cap = width_cap() if cap is None else cap
-        if 2**n > cap:
+        if 2**n > WIDTH_CAP:
             raise CapExceededError(
                 f"free algebra on {n} generators needs ground width {2**n}, "
-                f"cap is {cap} (override with {WIDTH_CAP_ENV})"
+                f"cap is {WIDTH_CAP}"
             )
         width = 2**n
         gens = []
@@ -371,21 +352,6 @@ class ContactRelation:
             for j in iter_bits((everything & ~self.rows[i]) >> (i + 1)):
                 out.append((i, i + 1 + j))
         return out
-
-
-def contact_from_related_pairs(
-    size: int, pairs: list[tuple[int, int]] | tuple[tuple[int, int], ...]
-) -> ContactRelation:
-    """Relation with the given nonzero pairs related, plus the nonzero diagonal."""
-    rows = [0] * size
-    for i in range(1, size):
-        rows[i] = 1 << i
-    for i, j in pairs:
-        if i == 0 or j == 0:
-            raise ValueError(f"contact pair ({i}, {j}) involves the zero element")
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return ContactRelation(size, tuple(rows))
 
 
 def contact_all_except(

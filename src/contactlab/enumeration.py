@@ -24,7 +24,6 @@ not the 54,888 contacts.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import permutations, product
@@ -47,7 +46,6 @@ from .representation import (
 from . import serialize
 
 SIZE_CAP = 8
-TABLE_ORACLE_CAP = 5
 
 # A poset on k points is a tuple ``le`` of k up-set masks: bit j of le[i]
 # means i <= j.  Index 0 is always the bottom.
@@ -170,14 +168,14 @@ def _realize(le: tuple[int, ...]) -> FiniteJoinSemilattice:
     return FiniteJoinSemilattice.from_closed_carrier(len(columns), carrier)
 
 
-def enumerate_semilattices(
-    max_size: int, cap: int = SIZE_CAP
-) -> Iterator[FiniteJoinSemilattice]:
+def enumerate_semilattices(max_size: int) -> Iterator[FiniteJoinSemilattice]:
     """One join-semilattice with 0 per isomorphism class, sizes ascending."""
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    if max_size > cap:
-        raise CapExceededError(f"max_size {max_size} exceeds enumeration cap {cap}")
+    if max_size > SIZE_CAP:
+        raise CapExceededError(
+            f"max_size {max_size} exceeds enumeration cap {SIZE_CAP}"
+        )
     classes: list[tuple[int, ...]] = [(1,)]
     for size in range(1, max_size + 1):
         if size > 1:
@@ -332,6 +330,10 @@ def classify_corpus(
     provenance = {"max_size": max_size, "d1_plus_max": d1_plus_max, "d2_max": d2_max}
     jobs = [(lat, provenance) for lat in enumerate_semilattices(max_size)]
     if threads > 1:
+        # Imported here: the pool machinery is a third of the package's
+        # import time, and only a multi-process run uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_profiled, jobs))
     else:
@@ -341,17 +343,14 @@ def classify_corpus(
     return records
 
 
-def find_minimal_separators(
-    max_size: int, n: int, threads: int = 1
-) -> list[CorpusRecord]:
+def find_minimal_separators(max_size: int, n: int) -> list[CorpusRecord]:
     """Smallest-carrier structures passing d1 and every d2 level below n but
     failing level n.  Empty means no separator exists up to max_size.  Each
-    class is screened on d1 and d2 up to level n; with one thread only the
-    hits are then profiled in full, but with more the workers have already
-    profiled every class (see ``classify_corpus``)."""
+    class is screened on d1 and d2 up to level n; only the hits are then
+    profiled in full."""
     if n < 2:
         raise ValueError(f"separation level must be at least 2, got {n}")
-    records = classify_corpus(max_size, d1_plus_max=1, d2_max=n, threads=threads)
+    records = classify_corpus(max_size, d1_plus_max=1, d2_max=n)
     first_fail_at_n = [True] * (n - 1) + [False]
     hits = [
         r
@@ -410,56 +409,3 @@ def _has_overlap_contact(record: CorpusRecord) -> bool:
         record.structure.contact.rows
         == overlap_contact(record.structure.lattice).rows
     )
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: enumerate raw join tables
-
-
-def count_semilattice_tables(k: int) -> int:
-    """Classes of size-k join-semilattices with 0, found by filtering all
-    binary operation tables; independent of the poset-extension generator."""
-    if k < 1:
-        raise ValueError("size must be positive")
-    if k > TABLE_ORACLE_CAP:
-        raise CapExceededError(f"table oracle capped at size {TABLE_ORACLE_CAP}")
-    if k == 1:
-        return 1
-    free = [(i, j) for i in range(1, k) for j in range(i + 1, k)]
-    canon: set[tuple[int, ...]] = set()
-    for values in product(range(k), repeat=len(free)):
-        table = [[0] * k for _ in range(k)]
-        for x in range(k):
-            table[x][x] = x
-            table[0][x] = table[x][0] = x
-        for (i, j), v in zip(free, values):
-            table[i][j] = table[j][i] = v
-        ok = True
-        for x in range(k):
-            for y in range(k):
-                for z in range(k):
-                    if table[table[x][y]][z] != table[x][table[y][z]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        best = min(
-            tuple(
-                p[table[q[i]][q[j]]]
-                for i in range(k)
-                for j in range(k)
-            )
-            for p, q in _labelled_perms(k)
-        )
-        canon.add(best)
-    return len(canon)
-
-
-def _labelled_perms(k: int) -> Iterator[tuple[list[int], list[int]]]:
-    for perm in permutations(range(1, k)):
-        p = [0, *perm]
-        yield p, _inverse(p)

@@ -4,7 +4,7 @@ The on-disk structure format:
 
     {
       "version": 1,
-      "ground_size": <int>,
+      "ground_size": <int>,       # at most WIDTH_CAP = 1024
       "carrier": [<fixed-width lowercase hex bit mask>, ...],
       "zero": 0,
       "contact": [[i, j], ...],   # related unordered nonzero pairs, i < j;
@@ -40,7 +40,13 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
-from .core import ContactRelation, ContactStructure, FiniteJoinSemilattice, iter_bits
+from .core import (
+    WIDTH_CAP,
+    ContactRelation,
+    ContactStructure,
+    FiniteJoinSemilattice,
+    iter_bits,
+)
 
 SCHEMA_VERSION = 1
 _HEX = re.compile(r"^[0-9a-f]+$")
@@ -127,6 +133,8 @@ def structure_from_json(data: Any) -> tuple[ContactStructure, dict[str, int]]:
     ground = data.get("ground_size")
     if not isinstance(ground, int) or ground < 0:
         raise SchemaError(f"ground_size: expected a nonnegative int, got {ground!r}")
+    if ground > WIDTH_CAP:
+        raise SchemaError(f"ground_size: {ground} exceeds the width cap {WIDTH_CAP}")
     raw_carrier = data.get("carrier")
     if not isinstance(raw_carrier, list) or not raw_carrier:
         raise SchemaError("carrier: expected a nonempty list of hex masks")

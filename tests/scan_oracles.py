@@ -21,6 +21,13 @@ masks and the union-closure check did before they were folded from
 per-point columns; ``ambient_extension_facts_scan`` asks ``ambient_related``
 (``ambient_related_scan``, which walks the carrier) about every related
 pair.  The library must match them, error text included.
+
+Three builders serve only the tests: ``contact_from_related_pairs`` (a
+relation from its related pairs), ``parity_products_sum_form`` (the parity
+products as sums of full literal products, the second normal form the
+library's selector-sum products must equal) and ``count_semilattice_tables``
+(semilattice classes counted by filtering every binary operation table,
+independent of the library's poset-extension generator).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from contactlab.axioms import (
     Verdict,
@@ -40,15 +47,106 @@ from contactlab.axioms import (
 from contactlab.constructions import SeparatorStructure
 from contactlab.core import (
     Bits,
+    CapExceededError,
+    ContactRelation,
     ContactStructure,
     FiniteJoinSemilattice,
-    contact_from_related_pairs,
+    FreeBooleanAlgebra,
     full_mask,
     is_subset,
     iter_bits,
 )
+from contactlab.enumeration import _inverse
 from contactlab.representation import Refusal, Representation
 from contactlab.serialize import SchemaError
+
+TABLE_ORACLE_CAP = 5
+
+
+def contact_from_related_pairs(
+    size: int, pairs: list[tuple[int, int]] | tuple[tuple[int, int], ...]
+) -> ContactRelation:
+    """Relation with the given nonzero pairs related, plus the nonzero diagonal."""
+    rows = [0] * size
+    for i in range(1, size):
+        rows[i] = 1 << i
+    for i, j in pairs:
+        if i == 0 or j == 0:
+            raise ValueError(f"contact pair ({i}, {j}) involves the zero element")
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return ContactRelation(size, tuple(rows))
+
+
+def parity_products_sum_form(n: int) -> tuple[Bits, Bits]:
+    """The parity products computed as sums of full literal products.
+
+    For odd n the even product collects even-parity full products; for even n
+    the parities swap.  Returned in the same (even, odd) order as
+    ``parity_products``.
+    """
+    ba = FreeBooleanAlgebra.build(n)
+    even_sum = odd_sum = 0
+    for f in range(1 << n):
+        p = ba.full
+        for i in range(1, n + 1):
+            p &= ba.literal(i, (f >> (n - i)) & 1)
+        if f.bit_count() & 1:
+            odd_sum |= p
+        else:
+            even_sum |= p
+    if n % 2:
+        return even_sum, odd_sum
+    return odd_sum, even_sum
+
+
+def count_semilattice_tables(k: int) -> int:
+    """Classes of size-k join-semilattices with 0, found by filtering all
+    binary operation tables; independent of the poset-extension generator."""
+    if k < 1:
+        raise ValueError("size must be positive")
+    if k > TABLE_ORACLE_CAP:
+        raise CapExceededError(f"table oracle capped at size {TABLE_ORACLE_CAP}")
+    if k == 1:
+        return 1
+    free = [(i, j) for i in range(1, k) for j in range(i + 1, k)]
+    canon: set[tuple[int, ...]] = set()
+    for values in product(range(k), repeat=len(free)):
+        table = [[0] * k for _ in range(k)]
+        for x in range(k):
+            table[x][x] = x
+            table[0][x] = table[x][0] = x
+        for (i, j), v in zip(free, values):
+            table[i][j] = table[j][i] = v
+        ok = True
+        for x in range(k):
+            for y in range(k):
+                for z in range(k):
+                    if table[table[x][y]][z] != table[x][table[y][z]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        best = min(
+            tuple(
+                p[table[q[i]][q[j]]]
+                for i in range(k)
+                for j in range(k)
+            )
+            for p, q in _labelled_perms(k)
+        )
+        canon.add(best)
+    return len(canon)
+
+
+def _labelled_perms(k: int):
+    for perm in permutations(range(1, k)):
+        p = [0, *perm]
+        yield p, _inverse(p)
 
 
 def first_d1plus_violation(cs: ContactStructure, max_size: int):

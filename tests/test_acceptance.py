@@ -22,15 +22,13 @@ from contactlab.constructions import (
     ContactMap,
     OrderPreservationError,
     ZeroReflectionError,
-    build_free_algebra,
     build_separator,
     check_embedding_criterion,
     inclusion_into_ambient,
     min_contact_extension,
     parity_products,
-    parity_products_sum_form,
 )
-from contactlab.core import ContactStructure, is_subset
+from contactlab.core import ContactStructure, FreeBooleanAlgebra, is_subset
 from contactlab.enumeration import (
     classify_corpus,
     corpus_implications,
@@ -48,7 +46,12 @@ from contactlab.serialize import (
     structure_to_json,
     write_structure_file,
 )
-from scan_oracles import Exhausted, brute_force_representation, check_d2_naive
+from scan_oracles import (
+    Exhausted,
+    brute_force_representation,
+    check_d2_naive,
+    parity_products_sum_form,
+)
 
 
 @contextmanager
@@ -109,7 +112,7 @@ def test_A2_level4_separator(tmp_path):
 def test_A3_parity_products_to_ten():
     with criterion("A3", 1.0, "parity products: complement identity and normal forms"):
         for n in range(1, 11):
-            ba = build_free_algebra(n)
+            ba = FreeBooleanAlgebra.build(n)
             even, odd = parity_products(n)
             assert even == ba.complement(odd)
             assert even & odd == 0
@@ -120,7 +123,7 @@ def test_A3_parity_products_to_ten():
 def test_A4_designated_elements_incomparable_to_ten():
     with criterion("A4", 5.0, "2n+2 designated elements pairwise incomparable"):
         for n in range(2, 11):
-            ba = build_free_algebra(n)
+            ba = FreeBooleanAlgebra.build(n)
             even, odd = parity_products(n)
             masks = [ba.literal(i, j) for i in range(1, n + 1) for j in (0, 1)]
             masks += [even, odd]

@@ -19,11 +19,10 @@ from contactlab.core import (
     ContactRelation,
     ContactStructure,
     contact_all_except,
-    contact_from_related_pairs,
     join_closure,
 )
 from contactlab.enumeration import enumerate_contacts, enumerate_semilattices
-from scan_oracles import check_d2_naive
+from scan_oracles import check_d2_naive, contact_from_related_pairs
 
 
 def chain3_with_dropped_pair():

@@ -9,10 +9,17 @@ import pytest
 
 import contactlab
 from contactlab import constructions
-from contactlab.certificates import verify_certificate
+from contactlab import certificates
+from contactlab.certificates import matches_canonical_construction, verify_certificate
 from contactlab import cli
 from contactlab.cli import main
-from contactlab.serialize import write_structure_file
+from contactlab.core import WIDTH_CAP
+from contactlab.serialize import (
+    mask_to_hex,
+    structure_from_json,
+    structure_to_json,
+    write_structure_file,
+)
 
 
 @pytest.fixture(scope="module")
@@ -150,9 +157,7 @@ def test_represent_exit_codes(s2_file, tmp_path):
 
 def test_enumerate_outputs(tmp_path):
     out = tmp_path / "corpus"
-    assert main(
-        ["enumerate", "--max-size", "4", "--oracle", "--out", str(out)]
-    ) == 0
+    assert main(["enumerate", "--max-size", "4", "--out", str(out)]) == 0
     lines = (out / "corpus.jsonl").read_text().splitlines()
     assert len(lines) == 6
     for line in lines:
@@ -160,8 +165,8 @@ def test_enumerate_outputs(tmp_path):
     summary = (out / "summary.csv").read_text().splitlines()
     assert len(summary) == 7  # header + records
     report = json.loads((out / "implications.json").read_text())
+    assert list(report) == ["implications"]
     assert all(not item["violations"] for item in report["implications"])
-    assert [item["table_oracle"] for item in report["oracle"]] == [1, 1, 1, 2]
 
 
 def test_enumerate_size_two(tmp_path):
@@ -241,6 +246,102 @@ def test_verify_certificate_bad_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
     assert main(["verify-certificate", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda params: params.update(n=7),
+        lambda params: params.update(n=1),
+        lambda params: params.pop("n"),
+    ],
+    ids=["n-above-cap", "n-below-two", "n-missing"],
+)
+def test_verify_certificate_bounds_separator_level(monkeypatch, tmp_path, capsys, mutate):
+    out = tmp_path / "sn2.json"
+    assert main(["sn", "--n", "2", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    mutate(cert["parameters"])
+    out.write_text(json.dumps(cert))
+
+    def refuse(n):
+        raise AssertionError(f"separator {n} rebuilt before parameters.n was checked")
+
+    monkeypatch.setattr(certificates, "build_separator", refuse)
+    capsys.readouterr()
+    assert main(["verify-certificate", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: parameters.n:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_matches_canonical_construction_agrees_with_payload_equality(tmp_path, n):
+    """The field-wise verdict equals comparing the rebuilt separator's whole
+    payload with the embedded one, on the certificate and on edits of it."""
+    out = tmp_path / "sn.json"
+    assert main(["sn", "--n", str(n), "--out", str(out)]) == 0
+    sep = constructions.build_separator(n)
+
+    def pad_hex(raw):
+        raw["carrier"][1] = "0" + raw["carrier"][1]
+
+    def rename_role(raw):
+        raw["roles"]["gen_x"] = raw["roles"].pop("gen_1")
+
+    edits = {
+        "unchanged": lambda raw: None,
+        "padded-hex": pad_hex,
+        "extra-key": lambda raw: raw.update(extra=1),
+        "dropped-role": lambda raw: raw["roles"].pop("gen_1"),
+        "renamed-role": rename_role,
+        "no-roles": lambda raw: raw.pop("roles"),
+        "pair-removed": lambda raw: raw["contact"].pop(3),
+        "ground-size-changed": lambda raw: raw.update(ground_size=raw["ground_size"] + 1),
+    }
+    for name, edit in edits.items():
+        raw = json.loads(out.read_text())["structure"]
+        edit(raw)
+        cs, _ = structure_from_json(raw)
+        expected = structure_to_json(sep.structure, sep.roles) == raw
+        assert expected == (name == "unchanged"), name
+        assert matches_canonical_construction(raw, cs, sep) == expected, name
+
+
+def test_structure_files_bounded_by_width_cap(tmp_path, capsys):
+    for width, code in ((WIDTH_CAP, 0), (WIDTH_CAP + 1, 2)):
+        path = tmp_path / f"wide{width}.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "ground_size": width,
+            "carrier": [mask_to_hex(0, width), mask_to_hex(1, width)],
+            "zero": 0,
+            "contact": [],
+        }))
+        capsys.readouterr()
+        assert main(["check", str(path), "weak-contact"]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("input error: ground_size:")
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    package_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(contactlab.__file__))
+    )
+    probe = (
+        "import sys, contactlab.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_sn_and_verify_never_build_the_ambient_powerset(monkeypatch, tmp_path):
@@ -353,12 +454,3 @@ def test_nonpositive_level_and_threads_are_usage_errors(s2_file, tmp_path, capsy
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "t0").exists()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-4"])
-def test_bad_width_cap_setting_is_input_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("CONTACTLAB_WIDTH_CAP", value)
-    assert main(["sn", "--n", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error: CONTACTLAB_WIDTH_CAP")
-    assert "Traceback" not in err

@@ -19,24 +19,24 @@ from contactlab.constructions import (
     ZeroReflectionError,
     ambient_extension_facts,
     ambient_related,
-    build_free_algebra,
     build_separator,
     check_embedding_criterion,
     identity_map,
     inclusion_into_ambient,
     min_contact_extension,
     parity_products,
-    parity_products_sum_form,
     powerset_lattice,
 )
 from contactlab.certificates import separator_extension_facts
 from contactlab.core import (
     ContactStructure,
+    FreeBooleanAlgebra,
     contact_all_except,
     is_subset,
     overlap_contact,
 )
 from contactlab.enumeration import enumerate_contacts
+from scan_oracles import parity_products_sum_form
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ def test_parity_products_two_generators_bit_exact():
 
 def test_parity_products_complement_identity_up_to_ten():
     for n in range(1, 11):
-        ba = build_free_algebra(n)
+        ba = FreeBooleanAlgebra.build(n)
         even, odd = parity_products(n)
         assert even & odd == 0
         assert even | odd == ba.full
@@ -94,7 +94,7 @@ def test_separator_structure_counts(sep2, sep3):
 
 def test_designated_elements_incomparable_up_to_ten():
     for n in range(2, 11):
-        ba = build_free_algebra(n)
+        ba = FreeBooleanAlgebra.build(n)
         even, odd = parity_products(n)
         masks = [ba.literal(i, j) for i in range(1, n + 1) for j in (0, 1)]
         masks += [even, odd]

@@ -18,8 +18,8 @@ from contactlab.core import (
     full_mask,
     iter_bits,
     join_closure,
+    WIDTH_CAP,
     overlap_contact,
-    width_cap,
 )
 
 
@@ -88,16 +88,11 @@ def test_complement():
         ba.complement(1 << ba.width)
 
 
-def test_width_cap_default_and_override(monkeypatch):
-    assert width_cap() == 1024
+def test_width_cap_default_and_override():
+    assert WIDTH_CAP == 1024
+    FreeBooleanAlgebra.build(10)
     with pytest.raises(CapExceededError):
         FreeBooleanAlgebra.build(11)
-    monkeypatch.setenv("CONTACTLAB_WIDTH_CAP", "4096")
-    assert width_cap() == 4096
-    FreeBooleanAlgebra.build(11)
-    monkeypatch.setenv("CONTACTLAB_WIDTH_CAP", "0")
-    with pytest.raises(ValueError):
-        width_cap()
 
 
 def test_literal_bounds():

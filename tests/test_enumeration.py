@@ -26,13 +26,12 @@ from contactlab.enumeration import (
     _classify_lattice,
     classify_corpus,
     corpus_implications,
-    count_semilattice_tables,
     enumerate_contacts,
     enumerate_semilattices,
     find_minimal_separators,
     iso_class_key,
 )
-from scan_oracles import check_d2_naive
+from scan_oracles import check_d2_naive, count_semilattice_tables
 
 
 def brute_force_contacts(lattice):

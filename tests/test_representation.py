@@ -6,7 +6,6 @@ from contactlab.axioms import check_d1
 from contactlab.core import (
     ContactStructure,
     contact_all_except,
-    contact_from_related_pairs,
     join_closure,
 )
 from contactlab.enumeration import classify_corpus
@@ -17,7 +16,11 @@ from contactlab.representation import (
     decide_overlap_representable,
     decide_weak_representable,
 )
-from scan_oracles import Exhausted, brute_force_representation
+from scan_oracles import (
+    Exhausted,
+    brute_force_representation,
+    contact_from_related_pairs,
+)
 
 
 def admissible_by_scan(cs):

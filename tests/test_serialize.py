@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactlab import serialize
-from contactlab.core import ContactStructure, contact_from_related_pairs, join_closure
+from contactlab.core import ContactStructure, join_closure
 from contactlab.enumeration import enumerate_contacts, enumerate_semilattices
 from contactlab.serialize import (
     SchemaError,
@@ -19,7 +19,11 @@ from contactlab.serialize import (
     structure_to_json,
 )
 from contactlab.representation import decide_weak_representable
-from scan_oracles import canonical_dumps_reference, contact_rows
+from scan_oracles import (
+    canonical_dumps_reference,
+    contact_from_related_pairs,
+    contact_rows,
+)
 
 
 def roundtrip(cs, roles=None):
