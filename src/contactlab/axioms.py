@@ -32,13 +32,16 @@ representation layer).  Every selector sum over all non-contact pairs is
 admissible or the top, and every admissible m lies above such a sum.  The
 premises of d1+, d2 and d2minus only grow with the pair set, so a violation
 exists at some level exactly when it exists over all pairs, where the
-selector sums can be replaced by the columns.  With D(x) the meet of the
-down-sets of the columns above x (everything if there are none):
+selector sums can be replaced by the columns.  The *image* of x is the set
+of columns x is not below (``ContactStructure.canonical_images``); images
+of joins are unions.  With D(x) the elements whose image lies inside x's:
 
 * d1+ fails at some level iff D(a) is not inside the down-set of a for
-  some a;
+  some a, iff two images collide (the weak refusal): a b in D(a) not below
+  a gives a + b the image of a, and equal images put one element in the
+  other's D without being below it;
 * d2 fails at some level iff some contact pair (a, b) has every column
-  above a or above b;
+  above a or above b, i.e. disjoint images (the overlap refusal);
 * d2minus fails with first pair (x1, y1) iff some b in D(x1) and a in
   D(y1) are in contact.
 
@@ -295,20 +298,26 @@ def _selector_sums(
     return [index[s] for s in sums]
 
 
+def _common_bound(lattice: FiniteJoinSemilattice, x: int, sums: list[int]) -> int:
+    """Elements below x + s for every selector sum s; 0 once the meet empties."""
+    below = lattice.below_masks
+    bounded = full_mask(lattice.size)
+    for s in sums:
+        bounded &= below[lattice.join(x, s)]
+        if not bounded:
+            break
+    return bounded
+
+
 def _d1plus_violated(cs: ContactStructure) -> bool:
-    """Column test: d1+ fails at some level."""
-    below = cs.lattice.below_masks
-    return any(dom & ~below[a] for a, dom in enumerate(cs.column_domains))
+    """Column test: d1+ fails at some level, i.e. two images collide."""
+    return cs.image_collision is not None
 
 
 def _d2_violated(cs: ContactStructure) -> bool:
-    """Column test: d2 fails at some level, i.e. some contact pair has every
-    column above one of its components (an uncovered contact pair)."""
-    columns, above = cs.admissible_column_masks
-    everything = full_mask(len(columns))
-    cover = cs.column_meets([everything ^ m for m in above])
-    rows = cs.contact.rows
-    return any(rows[a] & cover[a] for a in range(1, cs.size))
+    """Column test: d2 fails at some level, i.e. a contact pair has disjoint images."""
+    rows, disjoint = cs.contact.rows, cs.disjoint_images
+    return any(rows[a] & disjoint[a] for a in range(1, cs.size))
 
 
 def _first_d1plus_violation(
@@ -322,18 +331,12 @@ def _first_d1plus_violation(
         return None, None, examined
     below = lattice.below_masks
     pairs = cs.contact.noncontact_pairs()
-    everything = full_mask(lattice.size)
     for m in range(1, min(max_size, len(pairs)) + 1):
         for combo in combinations(pairs, m):
             sums = _selector_sums(lattice, combo)
             for a in range(lattice.size):
                 examined += 1
-                bounded = everything
-                for s in sums:
-                    bounded &= below[lattice.join(a, s)]
-                    if not bounded:
-                        break
-                bad = bounded & ~below[a]
+                bad = _common_bound(lattice, a, sums) & ~below[a]
                 if bad:
                     b = next(iter_bits(bad))
                     witness = Witness("d1plus", (("a", a), ("b", b)), combo)
@@ -496,8 +499,6 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
     start = time.perf_counter()
     lattice, rel = cs.lattice, cs.contact
     size = lattice.size
-    below = lattice.below_masks
-    everything = full_mask(size)
     nonzero_pairs = rel.noncontact_pairs()
     first_slot = [
         (i, j)
@@ -522,18 +523,10 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
             for rest in combinations(pool, r):
                 examined += 1
                 sums = _selector_sums(lattice, rest)
-                side_b = everything
-                for s in sums:
-                    side_b &= below[lattice.join(x1, s)]
-                    if not side_b:
-                        break
+                side_b = _common_bound(lattice, x1, sums)
                 if not side_b:
                     continue
-                side_a = everything
-                for s in sums:
-                    side_a &= below[lattice.join(y1, s)]
-                    if not side_a:
-                        break
+                side_a = _common_bound(lattice, y1, sums)
                 if not side_a:
                     continue
                 for b in iter_bits(side_b):

@@ -29,6 +29,7 @@ from .certificates import (
     axiom_entry,
     build_certificate,
     certificate_entries,
+    compute_fact,
     decide_representation,
     entry_matches_expectation,
     fact_entry,
@@ -115,15 +116,12 @@ def cmd_sn(args: argparse.Namespace) -> int:
         return 1
     cs = sep.structure
 
+    expected_facts = {"atom_count": 2 * args.n + 2, "noncontact_pair_count": args.n}
     entries = [
-        fact_entry("ground_size", cs.lattice.width),
-        fact_entry("carrier_size", cs.size),
-        fact_entry("atom_count", len(cs.lattice.atoms()), 2 * args.n + 2),
-        fact_entry(
-            "noncontact_pair_count", len(cs.contact.noncontact_pairs()), args.n
-        ),
-        axiom_entry(check_d1(cs), "pass"),
+        fact_entry(name, compute_fact(cs, name), expected_facts.get(name))
+        for name in ("ground_size", "carrier_size", "atom_count", "noncontact_pair_count")
     ]
+    entries.append(axiom_entry(check_d1(cs), "pass"))
     for level, verdict in enumerate(check_d2_levels(cs, depth), start=1):
         expected = "pass" if level < args.n else "fail"
         entries.append(axiom_entry(verdict, expected))
@@ -143,7 +141,7 @@ def cmd_sn(args: argparse.Namespace) -> int:
 
     cert = build_certificate(
         "sn",
-        {"n": args.n, "depth": depth, "seed": args.seed},
+        {"n": args.n, "depth": depth},
         cs,
         sep.roles,
         entries,
@@ -169,7 +167,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"witness: {json.dumps(verdict.witness.to_json(), sort_keys=True)}")
     cert = build_certificate(
         "check",
-        {"axiom": args.axiom, **params, "seed": args.seed},
+        {"axiom": args.axiom, **params},
         cs,
         roles or None,
         entries,
@@ -190,7 +188,7 @@ def cmd_represent(args: argparse.Namespace) -> int:
         print(f"obstruction: {json.dumps(payload, sort_keys=True)}")
     cert = build_certificate(
         "represent",
-        {"mode": args.mode, "seed": args.seed},
+        {"mode": args.mode},
         cs,
         roles or None,
         entries,
@@ -300,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("--n", type=int, required=True)
     sn.add_argument("--depth", type=int, default=None, help="highest d2 level checked")
     sn.add_argument("--out", default=None, help="certificate output path")
-    sn.add_argument("--seed", type=int, default=None, help="reserved; not semantic")
     sn.set_defaults(func=cmd_sn)
 
     check = sub.add_parser("check", help="run one axiom checker on a structure file")
@@ -308,14 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("axiom", choices=sorted(CHECKERS))
     check.add_argument("--n", type=_positive_int, default=None, help="schema level")
     check.add_argument("--out", default=None)
-    check.add_argument("--seed", type=int, default=None)
     check.set_defaults(func=cmd_check)
 
     rep = sub.add_parser("represent", help="decide powerset representability")
     rep.add_argument("input")
     rep.add_argument("--mode", choices=("weak", "overlap"), required=True)
     rep.add_argument("--out", default=None)
-    rep.add_argument("--seed", type=int, default=None)
     rep.set_defaults(func=cmd_represent)
 
     enum = sub.add_parser("enumerate", help="classify all small contact semilattices")
@@ -323,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--depth", type=_positive_int, default=3, help="d1+/d2 level bound")
     enum.add_argument("--out", required=True, help="output directory")
     enum.add_argument("--threads", type=_positive_int, default=1)
-    enum.add_argument("--seed", type=int, default=None)
     enum.set_defaults(func=cmd_enumerate)
 
     verify = sub.add_parser("verify-certificate", help="re-derive an emitted certificate")

@@ -319,11 +319,11 @@ def join_closure(width: int, generators: list[Bits] | tuple[Bits, ...]) -> Finit
 class ContactRelation:
     """Symmetric relation on carrier indices, stored as per-row index masks.
 
-    Bit ``j`` of ``rows[i]`` means index ``i`` is related to index ``j``.
-    Validity (symmetry, reflexivity on nonzero, zero-freeness, monotonicity)
-    is not assumed here: ``ContactStructure.is_weak_contact`` decides it once
-    per structure, and ``axioms.check_weak_contact`` reports a witness when
-    it fails.
+    Bit ``j`` of ``rows[i]`` means index ``i`` is related to index ``j``;
+    bits at or beyond ``size`` are refused.  Validity (symmetry, reflexivity
+    on nonzero, zero-freeness, monotonicity) is not assumed here:
+    ``ContactStructure.is_weak_contact`` decides it once per structure, and
+    ``axioms.check_weak_contact`` reports a witness when it fails.
     """
 
     size: int
@@ -332,6 +332,9 @@ class ContactRelation:
     def __post_init__(self) -> None:
         if len(self.rows) != self.size:
             raise ValueError(f"expected {self.size} rows, got {len(self.rows)}")
+        for i, row in enumerate(self.rows):
+            if row >> self.size:
+                raise ValueError(f"row {i} has bits beyond the {self.size} indices")
 
     def related(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
@@ -397,30 +400,48 @@ class ContactStructure:
         return self.lattice.size
 
     @cached_property
-    def admissible_column_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Admissible columns and, per element, the columns above it.
+    def canonical_images(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Admissible columns and, per element, its canonical image.
 
         The columns are the carrier indices m, top excluded, above at least
         one component of every non-contact pair, ascending.  Bit j of
-        ``above[x]`` is set iff x <= columns[j].
-        """
+        ``images[x]`` is set iff x is not below columns[j]."""
         lattice = self.lattice
         leq, below = lattice.leq_masks, lattice.below_masks
         admissible = full_mask(lattice.size) & ~(1 << lattice.top)
         for x, y in self.contact.noncontact_pairs():
             admissible &= leq[x] | leq[y]
         columns = tuple(iter_bits(admissible))
-        above = [0] * lattice.size
+        images = [full_mask(len(columns))] * lattice.size
         for j, m in enumerate(columns):
             bit = 1 << j
             for x in iter_bits(below[m]):
-                above[x] |= bit
-        return columns, tuple(above)
+                images[x] ^= bit
+        return columns, tuple(images)
+
+    @cached_property
+    def image_collision(self) -> tuple[str, tuple[int, ...]] | None:
+        """The least x > 0 with an empty image, ``("zero-image", (x,))``, or
+        an earlier y's, ``("indistinguishable-pair", (y, x))``; else None."""
+        seen: dict[int, int] = {}
+        for x, img in enumerate(self.canonical_images[1]):
+            if x and not img:
+                return "zero-image", (x,)
+            if img in seen:
+                return "indistinguishable-pair", (seen[img], x)
+            seen[img] = x
+        return None
+
+    @cached_property
+    def disjoint_images(self) -> tuple[int, ...]:
+        """disjoint[a] has bit b iff the images of a and b are disjoint,
+        i.e. b is below every column in the image of a."""
+        return tuple(self.column_meets(self.canonical_images[1]))
 
     def column_meets(self, masks: list[int] | tuple[int, ...]) -> list[int]:
         """Per column mask (bit j for ``columns[j]``), the carrier elements
         below every column in it (everything for the empty mask)."""
-        columns, _ = self.admissible_column_masks
+        columns, _ = self.canonical_images
         below = self.lattice.below_masks
         everything = full_mask(self.size)
         memo: dict[int, int] = {}
@@ -437,18 +458,19 @@ class ContactStructure:
 
     @cached_property
     def column_domains(self) -> tuple[int, ...]:
-        """D(x) for every element x: the meet of the down-sets of the columns
-        above x, i.e. what x plus every selector sum over all pairs bounds."""
-        _, above = self.admissible_column_masks
-        return tuple(self.column_meets(above))
+        """D(x) for every element x: the elements whose image lies inside the
+        image of x, i.e. what x plus every selector sum over all pairs bounds."""
+        columns, images = self.canonical_images
+        everything = full_mask(len(columns))
+        return tuple(self.column_meets([everything ^ img for img in images]))
 
     @cached_property
     def is_weak_contact(self) -> bool:
         """Whether the relation is a weak contact, in O(size + min(|R|, |N|))
         row operations, R the related pairs and N the unrelated nonzero ones.
 
-        After row 0, bit 0, the nonzero diagonal and bits beyond the
-        carrier, one side is checked for the whole relation, whichever has
+        After row 0, bit 0 and the nonzero diagonal (rows hold no bit beyond
+        the carrier), one side is checked for the whole relation, whichever has
         fewer pairs.  Related side: i in ``rows[j]`` for every j in
         ``rows[i]`` (symmetry), and each row holds the up-set of its members
         (up-closure).  Unrelated side: i not in ``rows[j]`` for every nonzero
@@ -464,7 +486,7 @@ class ContactStructure:
         if rows[0]:
             return False
         for i in range(1, size):
-            if rows[i] & 1 or not (rows[i] >> i) & 1 or rows[i] >> size:
+            if rows[i] & 1 or not (rows[i] >> i) & 1:
                 return False
         nonzero = full_mask(size) ^ 1
         related = sum(row.bit_count() for row in rows)

@@ -6,7 +6,9 @@ upward closed, join-prime and 0-free, and in a finite join-semilattice its
 complement is a down-set closed under joins, hence a principal ideal.  So
 candidate ground points can be identified with carrier elements ``m`` and the
 canonical map sends ``a`` to the set of admissible ``m`` with ``a`` not below
-``m``.  This turns representability into a quadratic scan.
+``m``.  It sends joins to unions by construction, so the live conditions are
+injectivity with 0 alone sent to the empty set and, for overlap, meeting
+images on contact pairs, read from the structure's cached images.
 """
 
 from __future__ import annotations
@@ -15,17 +17,16 @@ from dataclasses import dataclass
 from typing import Any
 
 from .axioms import require_weak_contact
-from .core import ContactStructure, full_mask
+from .core import ContactStructure
 
 
 @dataclass(frozen=True)
 class ColumnSet:
-    """Carrier indices usable as ground points: the elements m whose
-    complement-filter contains no non-contact pair.  Bit j of ``above[x]``
-    is set iff element x is below ``columns[j]``."""
+    """Carrier indices usable as ground points (``admissible_columns``); bit j
+    of ``images[x]`` is set iff element x is not below ``columns[j]``."""
 
     columns: tuple[int, ...]
-    above: tuple[int, ...]
+    images: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -99,35 +100,24 @@ class Refusal:
 
 def admissible_columns(cs: ContactStructure) -> ColumnSet:
     """All m, excluding the maximum, below which at least one component of
-    every non-contact pair fits."""
-    return ColumnSet(*cs.admissible_column_masks)
-
-
-def _canonical_images(column_set: ColumnSet) -> tuple[int, ...]:
-    """Each element maps to the columns it is not below."""
-    everything = full_mask(len(column_set.columns))
-    return tuple(everything ^ mask for mask in column_set.above)
+    every non-contact pair fits, with the canonical image of every element."""
+    return ColumnSet(*cs.canonical_images)
 
 
 def _decide(cs: ContactStructure, mode: str) -> Representation | Refusal:
     require_weak_contact(cs)
     column_set = admissible_columns(cs)
-    cols = column_set.columns
-    images = _canonical_images(column_set)
-    # Join preservation and order preservation are automatic for filter
-    # columns; zero-reflection and injectivity are the live conditions.
-    seen: dict[int, int] = {}
-    for x, img in enumerate(images):
-        if x and not img:
-            return Refusal(mode, "zero-image", (x,))
-        if img in seen:
-            return Refusal(mode, "indistinguishable-pair", (seen[img], x))
-        seen[img] = x
+    collision = cs.image_collision
+    if collision is not None:
+        return Refusal(mode, *collision)
     if mode == "overlap":
-        for i, j in cs.contact.related_pairs():
-            if not images[i] & images[j]:
-                return Refusal(mode, "uncovered-contact-pair", (i, j))
-    return Representation(mode, cols, images)
+        rows, disjoint = cs.contact.rows, cs.disjoint_images
+        for a in range(1, cs.size):
+            hit = (rows[a] & disjoint[a]) >> (a + 1)
+            if hit:
+                b = a + (hit & -hit).bit_length()
+                return Refusal(mode, "uncovered-contact-pair", (a, b))
+    return Representation(mode, column_set.columns, column_set.images)
 
 
 def decide_weak_representable(cs: ContactStructure) -> Representation | Refusal:

@@ -21,6 +21,10 @@ masks and the union-closure check did before they were folded from
 per-point columns; ``ambient_extension_facts_scan`` asks ``ambient_related``
 (``ambient_related_scan``, which walks the carrier) about every related
 pair.  The library must match them, error text included.
+``d1plus_column_test``, ``d2_column_test`` and ``decide_by_pairs`` rebuild
+the admissible columns from the non-contact pairs and decide the column
+tests and representability pair by pair, as the library did before all
+three read one set of canonical images.
 
 Three builders serve only the tests: ``contact_from_related_pairs`` (a
 relation from its related pairs), ``parity_products_sum_form`` (the parity
@@ -210,6 +214,72 @@ def gated_first_d2_violation(cs: ContactStructure, max_size: int):
         return None, None, cs.size
     m, witness, examined = first_d2_violation(cs, max_size)
     return m, witness, cs.size + examined
+
+
+def admissible_column_masks(cs: ContactStructure):
+    """Admissible columns and, per element, the columns above it (bit j of
+    ``above[x]`` iff x <= columns[j]), built from the non-contact pairs and
+    the down-set of each column, without the library's images."""
+    lattice = cs.lattice
+    leq, below = lattice.leq_masks, lattice.below_masks
+    admissible = full_mask(lattice.size) & ~(1 << lattice.top)
+    for x, y in cs.contact.noncontact_pairs():
+        admissible &= leq[x] | leq[y]
+    columns = tuple(iter_bits(admissible))
+    above = [0] * lattice.size
+    for j, m in enumerate(columns):
+        for x in iter_bits(below[m]):
+            above[x] |= 1 << j
+    return columns, tuple(above)
+
+
+def d1plus_column_test(cs: ContactStructure) -> bool:
+    """d1+ fails at some level iff D(a), the meet of the down-sets of the
+    columns above a, is not inside the down-set of a for some a."""
+    columns, above = admissible_column_masks(cs)
+    below = cs.lattice.below_masks
+    for a in range(cs.size):
+        domain = full_mask(cs.size)
+        for j in iter_bits(above[a]):
+            domain &= below[columns[j]]
+        if domain & ~below[a]:
+            return True
+    return False
+
+
+def d2_column_test(cs: ContactStructure) -> bool:
+    """d2 fails at some level iff some a >= 1 is related to some b with
+    every column above a or above b."""
+    columns, above = admissible_column_masks(cs)
+    everything = full_mask(len(columns))
+    rows = cs.contact.rows
+    return any(
+        above[a] | above[b] == everything
+        for a in range(1, cs.size)
+        for b in iter_bits(rows[a])
+    )
+
+
+def decide_by_pairs(cs: ContactStructure, mode: str) -> Representation | Refusal:
+    """The canonical column decider walked pair by pair: images from the
+    columns above each element, the first empty or repeated image, then
+    (overlap) the first related pair with disjoint images."""
+    require_weak_contact(cs)
+    columns, above = admissible_column_masks(cs)
+    everything = full_mask(len(columns))
+    images = tuple(everything ^ mask for mask in above)
+    seen: dict[int, int] = {}
+    for x, img in enumerate(images):
+        if x and not img:
+            return Refusal(mode, "zero-image", (x,))
+        if img in seen:
+            return Refusal(mode, "indistinguishable-pair", (seen[img], x))
+        seen[img] = x
+    if mode == "overlap":
+        for i, j in cs.contact.related_pairs():
+            if not images[i] & images[j]:
+                return Refusal(mode, "uncovered-contact-pair", (i, j))
+    return Representation(mode, columns, images)
 
 
 def check_weak_contact(cs: ContactStructure) -> Verdict:

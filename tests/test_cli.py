@@ -424,20 +424,27 @@ def test_console_entry_point_subprocess(tmp_path):
     assert "all asserted facts verified" in result.stdout
 
 
-def test_seed_flag_accepted_but_not_semantic(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert main(["sn", "--n", "2", "--seed", "7", "--out", str(a)]) == 0
-    assert main(["sn", "--n", "2", "--seed", "8", "--out", str(b)]) == 0
-    ca, cb = json.loads(a.read_text()), json.loads(b.read_text())
-    ca["parameters"].pop("seed")
-    cb["parameters"].pop("seed")
-    ca["stats"] = cb["stats"] = None
-    strip = lambda c: json.dumps(
-        {**c, "entries": [{k: v for k, v in e.items() if k != "stats"} for e in c["entries"]]},
-        sort_keys=True,
-    )
-    assert strip(ca) == strip(cb)
+def test_seed_flag_is_a_usage_error(s2_file, tmp_path, capsys):
+    for argv in (
+        ["sn", "--n", "2"],
+        ["check", s2_file, "d1"],
+        ["represent", s2_file, "--mode", "weak"],
+        ["enumerate", "--max-size", "2", "--out", str(tmp_path / "corpus")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+def test_certificates_with_a_seed_parameter_still_verify(tmp_path):
+    # Certificates written while --seed existed record parameters.seed.
+    out = tmp_path / "sn2.json"
+    assert main(["sn", "--n", "2", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    assert "seed" not in cert["parameters"]
+    cert["parameters"]["seed"] = None
+    assert verify_certificate(cert) == []
 
 
 def test_nonpositive_level_and_threads_are_usage_errors(s2_file, tmp_path, capsys):

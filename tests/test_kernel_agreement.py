@@ -135,10 +135,14 @@ def test_weak_contact_agrees_on_every_small_relation():
 
 
 def test_bit_beyond_the_carrier_is_not_a_weak_contact(sep2):
-    rows = list(sep2.structure.contact.rows)
-    rows[1] |= 1 << sep2.structure.size
-    relation = ContactRelation(sep2.structure.size, tuple(rows))
-    assert not ContactStructure(sep2.structure.lattice, relation).is_weak_contact
+    # Refused when the relation is built, so no checker ever indexes a row
+    # beyond the carrier.
+    size = sep2.structure.size
+    for extra in (1 << size, -1 << size):
+        rows = list(sep2.structure.contact.rows)
+        rows[1] |= extra
+        with pytest.raises(ValueError, match="row 1 has bits beyond"):
+            ContactRelation(size, tuple(rows))
 
 
 @pytest.mark.parametrize("n", [2, 3])
