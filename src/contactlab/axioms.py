@@ -47,7 +47,12 @@ of joins are unions.  With D(x) the elements whose image lies inside x's:
 
 This test is polynomial in the carrier size and the number of pairs.  Each
 pair-subset search runs only when the test finds a violation, and then
-returns the least-level witness in the fixed enumeration order.  ``examined``
+returns the least-level witness in the fixed enumeration order.  The d2
+search is the image test again, with one pair set's selector sums as the
+columns (``FiniteJoinSemilattice.images_over`` and ``meets``): every sum
+bounds a or bounds b iff the images of a and b over the sums are disjoint.
+The d1+ and d2minus searches keep their premises, meets of the down-sets
+of x + s, which are not images over the sums.  ``examined``
 counts the elements (for d2minus, first-slot pairs) the test looks at plus
 the candidates the search scans.
 
@@ -375,59 +380,32 @@ def _first_d2_violation(
     level the scan completes appends its ``examined`` count and the clock
     to ``levels``, if given.
 
-    For each pair combination, each element gets a domination profile: the
-    set of selectors whose sum bounds it, as a 2^m-bit mask.  A violating
-    pair is a contact pair whose profiles cover all selectors.  Refining the
-    carrier by the down-set of each selector sum in turn groups the elements
-    by profile without a per-element pass over the selectors.  The partners
-    of a are the union of the groups whose profile contains the selectors
-    missing from a's, memoized per missing set, so the least b >= a in
-    contact with a is one bit operation on its row.  Elements are taken in
-    ascending order, so the witness is the least a with its least b.  The
+    For each pair combination, the selector sums play the columns of the
+    column test: every sum bounds a or bounds b iff the images of a and b
+    over the sums are disjoint (bit f set iff the element is not below sum
+    f).  So the violating pairs are the contact pairs read off the meets of
+    the images (``FiniteJoinSemilattice.images_over`` and ``meets``), and
+    the witness is the least a with its least b >= a
+    (``ContactStructure.first_uncovered_pair``).  ``examined`` rises by a on
+    a hit and by size - 1 otherwise, one unit per element scanned.  The
     search runs only if the column test finds a violation at some level.
     """
-    lattice, rel = cs.lattice, cs.contact
+    lattice = cs.lattice
     size = lattice.size
     examined = size
     if not _d2_violated(cs):
         return None, None, examined
-    below = lattice.below_masks
-    rows = rel.rows
-    everything = full_mask(size)
-    pairs = rel.noncontact_pairs()
+    pairs = cs.contact.noncontact_pairs()
     for m in range(1, min(max_size, len(pairs)) + 1):
-        full_profile = full_mask(1 << m)
         for combo in combinations(pairs, m):
-            groups = {0: everything}
-            for f, s in enumerate(_selector_sums(lattice, combo)):
-                bit, down = 1 << f, below[s]
-                refined = {}
-                for prof, members in groups.items():
-                    inside = members & down
-                    if inside:
-                        refined[prof | bit] = inside
-                    if inside != members:
-                        refined[prof] = members ^ inside
-                groups = refined
-            profiles = [0] * size
-            for prof, members in groups.items():
-                for e in iter_bits(members):
-                    profiles[e] = prof
-            partners_by_need: dict[int, int] = {}
-            for a in range(1, size):
-                examined += 1
-                need = full_profile ^ profiles[a]
-                partners = partners_by_need.get(need)
-                if partners is None:
-                    partners = 0
-                    for prof, members in groups.items():
-                        if prof & need == need:
-                            partners |= members
-                    partners_by_need[need] = partners
-                hit = (rows[a] & partners) >> a
-                if hit:
-                    b = a + (hit & -hit).bit_length() - 1
-                    return m, Witness("d2", (("a", a), ("b", b)), combo), examined
+            sums = _selector_sums(lattice, combo)
+            uncovered = cs.first_uncovered_pair(
+                lattice.meets(sums, lattice.images_over(sums))
+            )
+            if uncovered is not None:
+                a, b = uncovered
+                return m, Witness("d2", (("a", a), ("b", b)), combo), examined + a
+            examined += size - 1
         if levels is not None:
             levels.append((examined, time.perf_counter()))
     return None, None, examined

@@ -105,9 +105,6 @@ def cmd_sn(args: argparse.Namespace) -> int:
         return _usage_error(
             f"full certificate generation is capped at n = {SN_CERTIFICATE_CAP}"
         )
-    depth = args.depth if args.depth is not None else args.n
-    if depth < 1:
-        return _usage_error("--depth must be at least 1")
     started = time.perf_counter()
     try:
         sep = build_separator(args.n)
@@ -122,26 +119,19 @@ def cmd_sn(args: argparse.Namespace) -> int:
         for name in ("ground_size", "carrier_size", "atom_count", "noncontact_pair_count")
     ]
     entries.append(axiom_entry(check_d1(cs), "pass"))
-    for level, verdict in enumerate(check_d2_levels(cs, depth), start=1):
+    for level, verdict in enumerate(check_d2_levels(cs, args.n), start=1):
         expected = "pass" if level < args.n else "fail"
         entries.append(axiom_entry(verdict, expected))
-    if depth >= args.n:
-        witness = sep.expected_d2_witness()
-        entries.append(
-            witness_check_entry(
-                "d2",
-                {"n": args.n},
-                witness,
-                revalidate_witness(cs, "d2", {"n": args.n}, witness),
-            )
-        )
+    witness = sep.expected_d2_witness()
+    valid = revalidate_witness(cs, "d2", {"n": args.n}, witness)
+    entries.append(witness_check_entry("d2", {"n": args.n}, witness, valid))
     entries.append(separator_entry("matches_canonical_construction", True))
     for fact, value in separator_extension_facts(sep).items():
         entries.append(separator_entry(fact, value))
 
     cert = build_certificate(
         "sn",
-        {"n": args.n, "depth": depth},
+        {"n": args.n},
         cs,
         sep.roles,
         entries,
@@ -180,7 +170,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_represent(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     cs, roles = load_structure_file(args.input)
-    require_weak_contact(cs)
     outcome, payload = decide_representation(cs, args.mode)
     entries = [representation_entry(args.mode, outcome, payload)]
     _print_entries(entries)
@@ -296,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sn = sub.add_parser("sn", help="build a level-n separator and certify its profile")
     sn.add_argument("--n", type=int, required=True)
-    sn.add_argument("--depth", type=int, default=None, help="highest d2 level checked")
     sn.add_argument("--out", default=None, help="certificate output path")
     sn.set_defaults(func=cmd_sn)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 Bits = int  # subset of a ground set; bit k <-> ground point k
 
@@ -275,6 +275,37 @@ class FiniteJoinSemilattice:
         everything, full = full_mask(self.size), full_mask(self.width)
         return tuple(everything ^ self.meeting(full ^ bits) for bits in self.carrier)
 
+    def images_over(self, columns: Sequence[int]) -> tuple[int, ...]:
+        """Per element x, its image over ``columns``: bit j is set iff x is
+        not below columns[j].  Columns may repeat; the image of a join is the
+        union of the images."""
+        below = self.below_masks
+        images = [full_mask(len(columns))] * self.size
+        for j, m in enumerate(columns):
+            bit = 1 << j
+            for x in iter_bits(below[m]):
+                images[x] ^= bit
+        return tuple(images)
+
+    def meets(self, columns: Sequence[int], masks: Sequence[int]) -> tuple[int, ...]:
+        """Per mask (bit j for columns[j]), the elements below every column in
+        it (everything for the empty mask), memoized per distinct mask.  Over
+        the images of ``columns``, this is per x the elements whose image is
+        disjoint from x's."""
+        below = self.below_masks
+        everything = full_mask(self.size)
+        memo: dict[int, int] = {}
+        out = []
+        for mask in masks:
+            meet = memo.get(mask)
+            if meet is None:
+                meet = everything
+                for j in iter_bits(mask):
+                    meet &= below[columns[j]]
+                memo[mask] = meet
+            out.append(meet)
+        return tuple(out)
+
     def union_irreducibles(self) -> tuple[int, ...]:
         """Indices of the elements that are not the union of the elements
         strictly below them: g is reducible iff each of its points lies in
@@ -407,17 +438,12 @@ class ContactStructure:
         one component of every non-contact pair, ascending.  Bit j of
         ``images[x]`` is set iff x is not below columns[j]."""
         lattice = self.lattice
-        leq, below = lattice.leq_masks, lattice.below_masks
+        leq = lattice.leq_masks
         admissible = full_mask(lattice.size) & ~(1 << lattice.top)
         for x, y in self.contact.noncontact_pairs():
             admissible &= leq[x] | leq[y]
         columns = tuple(iter_bits(admissible))
-        images = [full_mask(len(columns))] * lattice.size
-        for j, m in enumerate(columns):
-            bit = 1 << j
-            for x in iter_bits(below[m]):
-                images[x] ^= bit
-        return columns, tuple(images)
+        return columns, lattice.images_over(columns)
 
     @cached_property
     def image_collision(self) -> tuple[str, tuple[int, ...]] | None:
@@ -436,25 +462,8 @@ class ContactStructure:
     def disjoint_images(self) -> tuple[int, ...]:
         """disjoint[a] has bit b iff the images of a and b are disjoint,
         i.e. b is below every column in the image of a."""
-        return tuple(self.column_meets(self.canonical_images[1]))
-
-    def column_meets(self, masks: list[int] | tuple[int, ...]) -> list[int]:
-        """Per column mask (bit j for ``columns[j]``), the carrier elements
-        below every column in it (everything for the empty mask)."""
-        columns, _ = self.canonical_images
-        below = self.lattice.below_masks
-        everything = full_mask(self.size)
-        memo: dict[int, int] = {}
-        out = []
-        for mask in masks:
-            meet = memo.get(mask)
-            if meet is None:
-                meet = everything
-                for j in iter_bits(mask):
-                    meet &= below[columns[j]]
-                memo[mask] = meet
-            out.append(meet)
-        return out
+        columns, images = self.canonical_images
+        return self.lattice.meets(columns, images)
 
     @cached_property
     def column_domains(self) -> tuple[int, ...]:
@@ -462,7 +471,18 @@ class ContactStructure:
         image of x, i.e. what x plus every selector sum over all pairs bounds."""
         columns, images = self.canonical_images
         everything = full_mask(len(columns))
-        return tuple(self.column_meets([everything ^ img for img in images]))
+        return self.lattice.meets(columns, [everything ^ img for img in images])
+
+    def first_uncovered_pair(self, disjoint: Sequence[int]) -> tuple[int, int] | None:
+        """The first uncovered contact pair, given per element the elements
+        of disjoint image: the least a >= 1 in contact with some b >= a in
+        ``disjoint[a]``, with the least such b; None if there is none."""
+        rows = self.contact.rows
+        for a in range(1, self.size):
+            hit = (rows[a] & disjoint[a]) >> a
+            if hit:
+                return a, a + (hit & -hit).bit_length() - 1
+        return None
 
     @cached_property
     def is_weak_contact(self) -> bool:

@@ -111,12 +111,10 @@ def _decide(cs: ContactStructure, mode: str) -> Representation | Refusal:
     if collision is not None:
         return Refusal(mode, *collision)
     if mode == "overlap":
-        rows, disjoint = cs.contact.rows, cs.disjoint_images
-        for a in range(1, cs.size):
-            hit = (rows[a] & disjoint[a]) >> (a + 1)
-            if hit:
-                b = a + (hit & -hit).bit_length()
-                return Refusal(mode, "uncovered-contact-pair", (a, b))
+        # Every nonzero image is nonempty here, so b > a.
+        uncovered = cs.first_uncovered_pair(cs.disjoint_images)
+        if uncovered is not None:
+            return Refusal(mode, "uncovered-contact-pair", uncovered)
     return Representation(mode, column_set.columns, column_set.images)
 
 

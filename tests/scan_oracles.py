@@ -6,7 +6,7 @@ exponential in the number of pairs.  The library must return the same
 verdicts, params and witnesses; only the ``examined`` counts differ.
 ``gated_first_d2_violation`` puts the column test back in front of the
 per-partner d2 scan, and ``check_weak_contact`` walks every pair of the
-relation; the library's profile-group d2 search and one-sided weak-contact
+relation; the library's image-based d2 search and one-sided weak-contact
 gate must match them ``examined`` included.  ``check_d2_naive`` transcribes
 level-n d2 literally, without the library's reductions, so only its verdicts
 are compared.  ``brute_force_representation`` searches every
@@ -18,7 +18,9 @@ one-liner the library's canonical writer must match byte for byte, and
 text included.  ``leq_masks_scan``, ``below_masks_scan`` and
 ``semilattice_error`` compare every pair of carrier elements, as the order
 masks and the union-closure check did before they were folded from
-per-point columns; ``ambient_extension_facts_scan`` asks ``ambient_related``
+per-point columns; ``images_over_scan`` and ``meets_scan`` test each
+element against each column for the lattice-level image kernel;
+``ambient_extension_facts_scan`` asks ``ambient_related``
 (``ambient_related_scan``, which walks the carrier) about every related
 pair.  The library must match them, error text included.
 ``d1plus_column_test``, ``d2_column_test`` and ``decide_by_pairs`` rebuild
@@ -549,6 +551,32 @@ def below_masks_scan(lattice: FiniteJoinSemilattice) -> tuple[int, ...]:
         for j in iter_bits(mask):
             out[j] |= bit
     return tuple(out)
+
+
+def images_over_scan(
+    lattice: FiniteJoinSemilattice, columns: list[int]
+) -> tuple[int, ...]:
+    """Per element, bit j iff it is not a subset of columns[j]."""
+    carrier = lattice.carrier
+    return tuple(
+        sum(1 << j for j, m in enumerate(columns) if x & ~carrier[m])
+        for x in carrier
+    )
+
+
+def meets_scan(
+    lattice: FiniteJoinSemilattice, columns: list[int], masks: list[int]
+) -> tuple[int, ...]:
+    """Per mask, the elements that are subsets of every column in it."""
+    carrier = lattice.carrier
+    return tuple(
+        sum(
+            1 << i
+            for i, x in enumerate(carrier)
+            if all(not x & ~carrier[columns[j]] for j in iter_bits(mask))
+        )
+        for mask in masks
+    )
 
 
 def semilattice_error(width: int, carrier: tuple[Bits, ...]) -> str | None:

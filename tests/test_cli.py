@@ -43,7 +43,11 @@ def test_sn_certificate_and_exit_code(tmp_path):
 def test_sn_usage_errors():
     assert main(["sn", "--n", "1"]) == 2
     assert main(["sn", "--n", "7"]) == 2
-    assert main(["sn", "--n", "2", "--depth", "0"]) == 2
+    # sn has no --depth: it always checks levels 1..n.
+    for depth in ("0", "1", "2", "3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sn", "--n", "2", "--depth", depth])
+        assert exc.value.code == 2
 
 
 def test_sn_level_five_certificate_verifies(tmp_path):
@@ -59,29 +63,6 @@ def test_sn_level_six_certificate_verifies(tmp_path):
     assert main(["sn", "--n", "6", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["conclusion"]["ok"] is True
     assert main(["verify-certificate", str(out)]) == 0
-
-
-def test_sn_depth_flag(tmp_path):
-    out = tmp_path / "sn3d2.json"
-    assert main(["sn", "--n", "3", "--depth", "2", "--out", str(out)]) == 0
-    cert = json.loads(out.read_text())
-    levels = [
-        e["params"]["n"] for e in cert["entries"] if e["kind"] == "axiom" and e["axiom"] == "d2"
-    ]
-    assert levels == [1, 2]  # failure level not asserted when depth < n
-
-
-def test_sn_depth_beyond_failure_level(tmp_path):
-    # levels past the first failing one keep failing (monotone hierarchy)
-    out = tmp_path / "sn2d3.json"
-    assert main(["sn", "--n", "2", "--depth", "3", "--out", str(out)]) == 0
-    cert = json.loads(out.read_text())
-    d2 = {
-        e["params"]["n"]: e["verdict"]
-        for e in cert["entries"]
-        if e["kind"] == "axiom" and e["axiom"] == "d2"
-    }
-    assert d2 == {1: "pass", 2: "fail", 3: "fail"}
 
 
 def test_verify_detects_structure_swap(tmp_path):
@@ -362,6 +343,30 @@ def _assert_input_error(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_check_and_represent_refuse_a_relation_that_is_not_a_weak_contact(
+    tmp_path, capsys
+):
+    # The chain {0, 1, 3} with no contact at all: nonzero elements are not
+    # in contact with themselves.
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "version": 1,
+        "ground_size": 2,
+        "carrier": ["0", "1", "3"],
+        "zero": 0,
+        "contact": [],
+    }))
+    capsys.readouterr()
+    assert main(["check", str(path), "weak-contact"]) == 1
+    capsys.readouterr()
+    for argv in (
+        ["check", str(path), "d1"],
+        ["represent", str(path), "--mode", "weak"],
+        ["represent", str(path), "--mode", "overlap"],
+    ):
+        _assert_input_error(argv, capsys)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -444,6 +449,22 @@ def test_certificates_with_a_seed_parameter_still_verify(tmp_path):
     cert = json.loads(out.read_text())
     assert "seed" not in cert["parameters"]
     cert["parameters"]["seed"] = None
+    assert verify_certificate(cert) == []
+
+
+def test_certificates_with_a_depth_parameter_still_verify(tmp_path):
+    # Certificates written while --depth existed record parameters.depth,
+    # and `--depth 3` on n = 2 wrote a d2 entry above n.
+    out = tmp_path / "sn2.json"
+    assert main(["sn", "--n", "2", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    assert "depth" not in cert["parameters"]
+    cert["parameters"]["depth"] = 3
+    d2 = [e for e in cert["entries"] if e["kind"] == "axiom" and e["axiom"] == "d2"]
+    assert [e["params"]["n"] for e in d2] == [1, 2]
+    above = json.loads(json.dumps(d2[-1]))
+    above["params"]["n"] = 3
+    cert["entries"].insert(cert["entries"].index(d2[-1]) + 1, above)
     assert verify_certificate(cert) == []
 
 

@@ -5,7 +5,13 @@ refusal; ``ContactStructure.disjoint_images`` is the d2 column test and the
 overlap refusal.  They must agree with ``scan_oracles``, which rebuilds the
 admissible columns and decides pair by pair: the gates' booleans on any
 relation, and the refusal or representation on every weak contact.
+
+Underneath, ``FiniteJoinSemilattice.images_over`` and ``meets`` take any
+column list (the admissible columns, or one pair set's selector sums in the
+d2 search); they must match a per-element scan on every list.
 """
+
+import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -15,6 +21,7 @@ from contactlab.constructions import build_separator
 from contactlab.core import (
     ContactRelation,
     ContactStructure,
+    full_mask,
     join_closure,
     overlap_contact,
 )
@@ -87,3 +94,49 @@ def test_agree_on_arbitrary_relations(cs):
     assert_gates_agree(cs)
     if cs.is_weak_contact:
         assert_deciders_agree(cs)
+
+
+def column_lists(lattice, rng):
+    """Every index ascending; the admissible-style list without the top;
+    repeats of 0 and the top; and random lists with repeated entries."""
+    size, top = lattice.size, lattice.top
+    yield []
+    yield list(range(size))
+    yield list(range(top))
+    yield [0, top, 0, top]
+    for _ in range(4):
+        yield [rng.randrange(size) for _ in range(rng.randint(1, 2 * size))]
+
+
+def assert_kernel_agrees(lattice, rng, extra=()):
+    for columns in [*column_lists(lattice, rng), *extra]:
+        images = lattice.images_over(columns)
+        assert images == scan_oracles.images_over_scan(lattice, columns)
+        everything = full_mask(len(columns))
+        masks = list(images) + [everything ^ img for img in images]
+        masks += [0, everything] + [rng.getrandbits(len(columns)) for _ in range(4)]
+        meets = lattice.meets(columns, masks)
+        assert meets == scan_oracles.meets_scan(lattice, columns, masks)
+        # Over the images, a meet holds exactly the elements of disjoint image.
+        for x, meet in enumerate(meets[: lattice.size]):
+            for y in range(lattice.size):
+                assert (meet >> y) & 1 == (not images[x] & images[y])
+
+
+def test_kernel_agrees_on_every_lattice_to_size_seven():
+    rng = random.Random(12)
+    checked = 0
+    for lattice in enumerate_semilattices(7):
+        assert_kernel_agrees(lattice, rng)
+        checked += 1
+    assert checked == 78
+
+
+def test_kernel_agrees_on_separators():
+    rng = random.Random(12)
+    for n in (2, 3, 4):
+        sep = build_separator(n)
+        lattice = sep.structure.lattice
+        # The d2 search's columns: the selector sums of the literal pairs.
+        sums = axioms._selector_sums(lattice, sep.literal_pairs)
+        assert_kernel_agrees(lattice, rng, extra=[sums])

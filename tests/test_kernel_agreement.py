@@ -1,6 +1,6 @@
-"""The profile-group d2 search and the one-sided weak-contact gate agree with
-the scans they replace, and one d2 pass over several levels agrees with a
-check_d2 call per level.
+"""The d2 search, which applies the image test to each pair set's selector
+sums, and the one-sided weak-contact gate agree with the scans they replace,
+and one d2 pass over several levels agrees with a check_d2 call per level.
 
 ``scan_oracles.gated_first_d2_violation`` is the per-partner d2 scan behind
 the same column test, and ``scan_oracles.check_weak_contact`` walks every
