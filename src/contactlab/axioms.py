@@ -54,7 +54,10 @@ bounds a or bounds b iff the images of a and b over the sums are disjoint.
 The d1+ and d2minus searches keep their premises, meets of the down-sets
 of x + s, which are not images over the sums.  ``examined``
 counts the elements (for d2minus, first-slot pairs) the test looks at plus
-the candidates the search scans.
+the candidates the search scans.  The d1+ and d2 searches share one walk,
+which resumes above the deepest level an earlier search on the structure
+passed and counts the skipped levels as a scan would: levels 1..n one call
+at a time cost one pass, and each verdict is that of a fresh structure.
 
 Note on ``d2minus``: two one-sided conventions are possible.  Here the b-side
 bound is required exactly on selectors picking the first component of the
@@ -69,7 +72,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Any
+from math import comb
+from typing import Any, Callable
 
 from .core import (
     ContactStructure,
@@ -325,28 +329,54 @@ def _d2_violated(cs: ContactStructure) -> bool:
     return any(rows[a] & disjoint[a] for a in range(1, cs.size))
 
 
+def _least_failing_level(
+    cs: ContactStructure, max_size: int, kind: str, first: int,
+    first_hit: Callable[[list[int]], tuple[int, int] | None],
+) -> tuple[int | None, Witness | None, int]:
+    """Least pair-count m <= max_size at which a set of m pairs has a
+    ``kind`` violation, with its witness.  Pair sets go by size, then in
+    lexicographic order; ``first_hit(sums)`` scans a upward from ``first``
+    and gives the least violating (a, b), or None.  ``examined`` counts the
+    elements scanned.  The deepest level completed without a hit is kept on
+    ``cs``; a later walk skips to it, counting C(|P|, j) sets per level j."""
+    lattice = cs.lattice
+    pairs = cs.contact.noncontact_pairs()
+    per_set = lattice.size - first
+    known = f"{kind}_holds_to"
+    skipped = min(getattr(cs, known), max_size)
+    examined = lattice.size + per_set * sum(
+        comb(len(pairs), j) for j in range(1, skipped + 1)
+    )
+    for m in range(skipped + 1, min(max_size, len(pairs)) + 1):
+        for combo in combinations(pairs, m):
+            hit = first_hit(_selector_sums(lattice, combo))
+            if hit is not None:
+                a, b = hit
+                witness = Witness(kind, (("a", a), ("b", b)), combo)
+                return m, witness, examined + a + 1 - first
+            examined += per_set
+        object.__setattr__(cs, known, m)  # a cache, as cached_property writes
+    return None, None, examined
+
+
 def _first_d1plus_violation(
     cs: ContactStructure, max_size: int
 ) -> tuple[int | None, Witness | None, int]:
     """Least pair-count m <= max_size at which d1+ has a violation; the
     search runs only if the column test finds one at some level."""
     lattice = cs.lattice
-    examined = lattice.size
     if not _d1plus_violated(cs):
-        return None, None, examined
+        return None, None, lattice.size
     below = lattice.below_masks
-    pairs = cs.contact.noncontact_pairs()
-    for m in range(1, min(max_size, len(pairs)) + 1):
-        for combo in combinations(pairs, m):
-            sums = _selector_sums(lattice, combo)
-            for a in range(lattice.size):
-                examined += 1
-                bad = _common_bound(lattice, a, sums) & ~below[a]
-                if bad:
-                    b = next(iter_bits(bad))
-                    witness = Witness("d1plus", (("a", a), ("b", b)), combo)
-                    return m, witness, examined
-    return None, None, examined
+
+    def first_hit(sums: list[int]) -> tuple[int, int] | None:
+        for a in range(lattice.size):
+            bad = _common_bound(lattice, a, sums) & ~below[a]
+            if bad:
+                return a, next(iter_bits(bad))
+        return None
+
+    return _least_failing_level(cs, max_size, "d1plus", 0, first_hit)
 
 
 def check_d1_plus(cs: ContactStructure, n: int) -> Verdict:
@@ -372,43 +402,29 @@ def check_d1(cs: ContactStructure) -> Verdict:
 
 
 def _first_d2_violation(
-    cs: ContactStructure,
-    max_size: int,
-    levels: list[tuple[int, float]] | None = None,
+    cs: ContactStructure, max_size: int
 ) -> tuple[int | None, Witness | None, int]:
-    """Least pair-count m <= max_size at which d2 has a violation.  Each
-    level the scan completes appends its ``examined`` count and the clock
-    to ``levels``, if given.
+    """Least pair-count m <= max_size at which d2 has a violation.
 
-    For each pair combination, the selector sums play the columns of the
-    column test: every sum bounds a or bounds b iff the images of a and b
-    over the sums are disjoint (bit f set iff the element is not below sum
-    f).  So the violating pairs are the contact pairs read off the meets of
-    the images (``FiniteJoinSemilattice.images_over`` and ``meets``), and
-    the witness is the least a with its least b >= a
+    For each pair set, the selector sums play the columns of the column
+    test: every sum bounds a or bounds b iff the images of a and b over the
+    sums are disjoint (bit f set iff the element is not below sum f).  So
+    the violating pairs are the contact pairs read off the meets of the
+    images (``FiniteJoinSemilattice.images_over`` and ``meets``), and the
+    witness is the least a with its least b >= a
     (``ContactStructure.first_uncovered_pair``).  ``examined`` rises by a on
-    a hit and by size - 1 otherwise, one unit per element scanned.  The
-    search runs only if the column test finds a violation at some level.
+    a hit and by size - 1 otherwise, one unit per element scanned, skipped
+    levels included (``_least_failing_level``).  The search runs only if the
+    column test finds a violation at some level.
     """
     lattice = cs.lattice
-    size = lattice.size
-    examined = size
     if not _d2_violated(cs):
-        return None, None, examined
-    pairs = cs.contact.noncontact_pairs()
-    for m in range(1, min(max_size, len(pairs)) + 1):
-        for combo in combinations(pairs, m):
-            sums = _selector_sums(lattice, combo)
-            uncovered = cs.first_uncovered_pair(
-                lattice.meets(sums, lattice.images_over(sums))
-            )
-            if uncovered is not None:
-                a, b = uncovered
-                return m, Witness("d2", (("a", a), ("b", b)), combo), examined + a
-            examined += size - 1
-        if levels is not None:
-            levels.append((examined, time.perf_counter()))
-    return None, None, examined
+        return None, None, lattice.size
+
+    def first_hit(sums: list[int]) -> tuple[int, int] | None:
+        return cs.first_uncovered_pair(lattice.meets(sums, lattice.images_over(sums)))
+
+    return _least_failing_level(cs, max_size, "d2", 1, first_hit)
 
 
 def check_d2(cs: ContactStructure, n: int) -> Verdict:
@@ -416,34 +432,14 @@ def check_d2(cs: ContactStructure, n: int) -> Verdict:
 
     Covers every instance with repeated or zero-component pairs through the
     reductions described in the module docstring, hence fails whenever any
-    level m <= n fails.
+    level m <= n fails.  Calls for levels 1..n on one structure cost one
+    pass: each resumes where the last stopped, with a fresh call's count.
     """
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
     start = time.perf_counter()
     _, witness, examined = _first_d2_violation(cs, n)
     return _timed("d2", {"n": n}, witness, examined, start)
-
-
-def check_d2_levels(cs: ContactStructure, depth: int) -> list[Verdict]:
-    """``check_d2`` at every level 1..depth from one scan to ``depth``, for
-    callers that want every level (``sn``); it returns ``depth`` verdicts.  A
-    level below the least failing one takes the ``examined`` count and time
-    at which the scan completed it; every other level takes the scan's own
-    outcome, witness and count."""
-    if depth < 1:
-        raise ValueError(f"level must be positive, got {depth}")
-    start = time.perf_counter()
-    levels: list[tuple[int, float]] = []
-    _, witness, examined = _first_d2_violation(cs, depth, levels)
-    passed = [
-        Verdict("d2", {"n": n}, True, None, count, at - start)
-        for n, (count, at) in enumerate(levels, start=1)
-    ]
-    return passed + [
-        _timed("d2", {"n": n}, witness, examined, start)
-        for n in range(len(levels) + 1, depth + 1)
-    ]
 
 
 def decide_d2_all(cs: ContactStructure) -> Verdict:
@@ -534,8 +530,7 @@ def profile_of(
     # scanned ones: levels beyond the distinct-pair count only repeat summands.
     # d1 is d1+ at level 1, so the scan reaches level 1 at least.
     m1, _, _ = _first_d1plus_violation(cs, max(d1_plus_max, 1))
-    bound = len(cs.contact.noncontact_pairs())
-    m2, _, _ = _first_d2_violation(cs, bound)
+    m2, _, _ = _first_d2_violation(cs, len(cs.contact.noncontact_pairs()))
     first1 = m1 if m1 is not None else float("inf")
     first2 = m2 if m2 is not None else float("inf")
     return AxiomProfile(

@@ -179,6 +179,11 @@ def entry_matches_expectation(entry: dict[str, Any]) -> bool:
     return entry.get("value") == expected
 
 
+def conclusion_ok(entries: list[dict[str, Any]]) -> bool:
+    """Whether every entry meets its expectation: a certificate's conclusion."""
+    return all(entry_matches_expectation(e) for e in entries)
+
+
 def build_certificate(
     command: str,
     parameters: dict[str, Any],
@@ -196,7 +201,7 @@ def build_certificate(
         "structure": payload,
         "structure_sha256": structure_sha256(payload),
         "entries": entries,
-        "conclusion": {"ok": all(entry_matches_expectation(e) for e in entries)},
+        "conclusion": {"ok": conclusion_ok(entries)},
         "stats": {"elapsed_s": round(time.perf_counter() - started, 6)},
     }
 
@@ -307,8 +312,7 @@ def verify_certificate(cert: Any) -> list[str]:
         except Exception as exc:  # a broken entry should name itself, not abort
             problems.append(f"{label}: re-derivation raised {exc!r}")
 
-    recomputed_ok = all(entry_matches_expectation(e) for e in entries)
     recorded = conclusion.get("ok")
-    if recorded is not None and recorded != recomputed_ok:
+    if recorded is not None and recorded != conclusion_ok(entries):
         problems.append("conclusion.ok does not match the recorded entries")
     return problems

@@ -20,7 +20,7 @@ from .axioms import (
     CHECKERS,
     InvalidContactError,
     check_d1,
-    check_d2_levels,
+    check_d2,
     require_weak_contact,
     revalidate_witness,
 )
@@ -30,6 +30,7 @@ from .certificates import (
     build_certificate,
     certificate_entries,
     compute_fact,
+    conclusion_ok,
     decide_representation,
     entry_matches_expectation,
     fact_entry,
@@ -68,9 +69,12 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _write_certificate(cert: dict, out: str | None) -> None:
+def _write_certificate(out: str | None, *parts) -> None:
+    """Build the certificate from ``build_certificate``'s arguments and write
+    it to ``out``; without ``--out`` nothing is built."""
     if out is None:
         return
+    cert = build_certificate(*parts)
     Path(out).write_text(canonical_dumps(cert), encoding="utf-8")
     print(f"certificate written to {out}")
 
@@ -119,9 +123,9 @@ def cmd_sn(args: argparse.Namespace) -> int:
         for name in ("ground_size", "carrier_size", "atom_count", "noncontact_pair_count")
     ]
     entries.append(axiom_entry(check_d1(cs), "pass"))
-    for level, verdict in enumerate(check_d2_levels(cs, args.n), start=1):
+    for level in range(1, args.n + 1):
         expected = "pass" if level < args.n else "fail"
-        entries.append(axiom_entry(verdict, expected))
+        entries.append(axiom_entry(check_d2(cs, level), expected))
     witness = sep.expected_d2_witness()
     valid = revalidate_witness(cs, "d2", {"n": args.n}, witness)
     entries.append(witness_check_entry("d2", {"n": args.n}, witness, valid))
@@ -129,18 +133,10 @@ def cmd_sn(args: argparse.Namespace) -> int:
     for fact, value in separator_extension_facts(sep).items():
         entries.append(separator_entry(fact, value))
 
-    cert = build_certificate(
-        "sn",
-        {"n": args.n},
-        cs,
-        sep.roles,
-        entries,
-        started,
-    )
     _print_entries(entries)
-    ok = cert["conclusion"]["ok"]
+    ok = conclusion_ok(entries)
     print(f"sn --n {args.n}: {'all asserted facts verified' if ok else 'MISMATCH'}")
-    _write_certificate(cert, args.out)
+    _write_certificate(args.out, "sn", {"n": args.n}, cs, sep.roles, entries, started)
     return 0 if ok else 1
 
 
@@ -155,15 +151,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     _print_entries(entries)
     if verdict.witness is not None:
         print(f"witness: {json.dumps(verdict.witness.to_json(), sort_keys=True)}")
-    cert = build_certificate(
-        "check",
-        {"axiom": args.axiom, **params},
-        cs,
-        roles or None,
-        entries,
-        started,
+    _write_certificate(
+        args.out, "check", {"axiom": args.axiom, **params}, cs, roles or None,
+        entries, started,
     )
-    _write_certificate(cert, args.out)
     return 0 if verdict.passed else 1
 
 
@@ -175,15 +166,9 @@ def cmd_represent(args: argparse.Namespace) -> int:
     _print_entries(entries)
     if outcome == "refusal":
         print(f"obstruction: {json.dumps(payload, sort_keys=True)}")
-    cert = build_certificate(
-        "represent",
-        {"mode": args.mode},
-        cs,
-        roles or None,
-        entries,
-        started,
+    _write_certificate(
+        args.out, "represent", {"mode": args.mode}, cs, roles or None, entries, started
     )
-    _write_certificate(cert, args.out)
     return 0 if outcome == "success" else 1
 
 

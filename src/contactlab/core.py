@@ -6,13 +6,15 @@ finite ground set, encoded as a Python int whose bit ``k`` marks ground point
 machine-word and wider ground sets.  Widths are owned by the containing
 structure; raw masks never travel between structures of different width.
 
-All structures are immutable after construction and all operations are pure,
-so values can be shared freely across threads or processes.
+All structures are immutable after construction and all operations are pure;
+what a structure caches (derived masks, the levels the axiom searches found
+free of violations) only records facts about it.  So values can be shared
+freely across threads or processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -418,6 +420,9 @@ class ContactStructure:
 
     lattice: FiniteJoinSemilattice
     contact: ContactRelation
+    # Deepest pair-set level known free of d1+ / d2 violations (``axioms``).
+    d1plus_holds_to: int = field(default=0, init=False, repr=False, compare=False)
+    d2_holds_to: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.contact.size != self.lattice.size:

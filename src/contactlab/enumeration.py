@@ -24,12 +24,13 @@ not the 54,888 contacts.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import permutations, product
 from typing import Any, Iterator
 
-from .axioms import AxiomProfile, check_d1, check_d2_levels, profile_of
+from .axioms import AxiomProfile, check_d1, check_d2, profile_of
 from .core import (
     CapExceededError,
     ContactRelation,
@@ -329,12 +330,15 @@ def classify_corpus(
     profiles are computed as they are read; with more, by the workers."""
     provenance = {"max_size": max_size, "d1_plus_max": d1_plus_max, "d2_max": d2_max}
     jobs = [(lat, provenance) for lat in enumerate_semilattices(max_size)]
-    if threads > 1:
+    # A forked pool starts every worker at once, so ask for no more workers
+    # than there are lattices or CPUs.
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: the pool machinery is a third of the package's
         # import time, and only a multi-process run uses it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_profiled, jobs))
     else:
         chunks = [_classify_lattice(job) for job in jobs]
@@ -351,12 +355,12 @@ def find_minimal_separators(max_size: int, n: int) -> list[CorpusRecord]:
     if n < 2:
         raise ValueError(f"separation level must be at least 2, got {n}")
     records = classify_corpus(max_size, d1_plus_max=1, d2_max=n)
-    first_fail_at_n = [True] * (n - 1) + [False]
     hits = [
         r
         for r in records
         if check_d1(r.structure).passed
-        and [v.passed for v in check_d2_levels(r.structure, n)] == first_fail_at_n
+        and check_d2(r.structure, n - 1).passed
+        and not check_d2(r.structure, n).passed
     ]
     if not hits:
         return []

@@ -200,13 +200,14 @@ def structure_sha256(payload: dict[str, Any]) -> str:
 
 
 def load_json_file(path: str) -> Any:
-    """Parsed contents of a JSON file; SchemaError if unreadable or invalid."""
+    """Parsed contents of a JSON file; SchemaError if unreadable, not UTF-8,
+    nested deeper than the parser's recursion limit, or invalid."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -9,7 +9,6 @@ from contactlab.axioms import (
     check_d1,
     check_d1_plus,
     check_d2,
-    check_d2_levels,
     check_d2_minus,
     check_weak_contact,
     decide_d2_all,
@@ -235,7 +234,7 @@ def test_d2_monotone_in_level(m3, ps2, sep2):
 def test_d2_levels_past_the_failing_one_keep_failing(sep2):
     # The level-2 separator passes level 1 and fails levels 2 and 3 with the
     # same level-2 witness: a level above n repeats the level-n fail.
-    verdicts = check_d2_levels(sep2.structure, 3)
+    verdicts = [check_d2(sep2.structure, n) for n in range(1, 4)]
     assert [v.outcome for v in verdicts] == ["pass", "fail", "fail"]
     assert verdicts[0].witness is None
     assert verdicts[1].witness == verdicts[2].witness

@@ -482,3 +482,87 @@ def test_nonpositive_level_and_threads_are_usage_errors(s2_file, tmp_path, capsy
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "t0").exists()
+
+
+def test_unreadable_json_is_an_input_error(tmp_path, capsys):
+    # Bytes that are not UTF-8, and an unterminated run of brackets deeper
+    # than the parser's recursion limit: exit 2 with "input error:", no
+    # traceback, for every command that reads a JSON file.
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe\x7b")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1000)
+    for path in (not_utf8, deep):
+        for argv in (
+            ["check", str(path), "d1"],
+            ["represent", str(path), "--mode", "weak"],
+            ["verify-certificate", str(path)],
+            ["export-dot", str(path)],
+        ):
+            capsys.readouterr()
+            _assert_input_error(argv, capsys)
+
+
+def test_enumerate_workers_bounded_by_lattices_and_cpus(tmp_path, monkeypatch):
+    # A stand-in pool records the worker count it is asked for and maps in
+    # process, so a huge --threads value starts no process at all.
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    outputs = []
+    for max_size, threads in ((4, 1), (4, 100000), (4, 2), (1, 100000)):
+        out = tmp_path / f"s{max_size}t{threads}"
+        argv = ["enumerate", "--max-size", str(max_size), "--threads", str(threads),
+                "--out", str(out)]
+        assert main(argv) == 0
+        outputs.append((out / "corpus.jsonl").read_text())
+    # Up to size 4 there are 5 lattices, so 100,000 threads ask for 3
+    # workers (the CPUs) and 2 threads for 2; at size 1 there is one
+    # lattice and no pool.
+    assert asked == [3, 2]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_certificates_built_only_when_written(s2_file, tmp_path, capsys, monkeypatch):
+    # Without --out the stdout and exit code are those of the same run with
+    # --out, less the line naming the file, and no certificate is built.
+    runs = [
+        (["sn", "--n", "2"], 0),
+        (["check", s2_file, "d1"], 0),
+        (["check", s2_file, "d2", "--n", "2"], 1),
+        (["represent", s2_file, "--mode", "weak"], 0),
+        (["represent", s2_file, "--mode", "overlap"], 1),
+    ]
+    written = []
+    for pos, (argv, code) in enumerate(runs):
+        out = tmp_path / f"cert{pos}.json"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == code
+        stdout = capsys.readouterr().out
+        assert stdout.endswith(f"certificate written to {out}\n")
+        written.append(stdout.removesuffix(f"certificate written to {out}\n"))
+        assert verify_certificate(json.loads(out.read_text())) == []
+
+    def refuse(*args):
+        raise AssertionError("certificate built without --out")
+
+    monkeypatch.setattr(cli, "build_certificate", refuse)
+    for (argv, code), expected in zip(runs, written):
+        assert main(argv) == code
+        assert capsys.readouterr().out == expected

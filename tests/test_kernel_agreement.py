@@ -1,6 +1,7 @@
 """The d2 search, which applies the image test to each pair set's selector
 sums, and the one-sided weak-contact gate agree with the scans they replace,
-and one d2 pass over several levels agrees with a check_d2 call per level.
+and the d1+ and d2 searches, which resume above the levels earlier calls on
+the same structure passed, give what the same call gives on a fresh one.
 
 ``scan_oracles.gated_first_d2_violation`` is the per-partner d2 scan behind
 the same column test, and ``scan_oracles.check_weak_contact`` walks every
@@ -36,12 +37,18 @@ def d2_outcomes(cs, levels=(1, 2, 3)):
     )
 
 
+def fresh(cs):
+    """A copy of cs that no search has run on yet."""
+    return ContactStructure(cs.lattice, cs.contact)
+
+
 def assert_d2_agrees(cs, levels=(1, 2, 3)):
-    # One pass to a level beyond the deepest checked gives every level's
-    # verdict as its own check_d2 call does.
-    depth = max(levels) + 1
-    one_pass = [_strip(v) for v in axioms.check_d2_levels(cs, depth)]
-    assert one_pass == [_strip(axioms.check_d2(cs, n)) for n in range(1, depth + 1)]
+    # Calls from a level beyond the deepest checked down to level 1, each
+    # resuming what the earlier ones scanned, give what they give on a
+    # fresh copy.
+    descending = range(max(levels) + 1, 0, -1)
+    resumed = [_strip(axioms.check_d2(cs, n)) for n in descending]
+    assert resumed == [_strip(axioms.check_d2(fresh(cs), n)) for n in descending]
     library = d2_outcomes(cs, levels)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(axioms, "_first_d2_violation", scan_oracles.gated_first_d2_violation)
@@ -165,10 +172,73 @@ def test_level_five_counters(sep5):
     assert axioms.check_weak_contact(sep5.structure).examined == 510535
 
 
-def test_one_d2_pass_examines_each_level_once():
-    # Per-level calls at n = 4 examine 736 + 1,618 + 2,206 + 2,218 = 6,778
-    # elements; the one pass examines 2,218 and keeps each level's count.
-    verdicts = axioms.check_d2_levels(build_separator(4).structure, 4)
+def test_one_d2_pass_examines_each_level_once(monkeypatch):
+    # Levels 1..4 of the level-4 separator, one call each, report the
+    # counts of separate scans, 736 + 1,618 + 2,206 + 2,218 = 6,778
+    # elements, but evaluate 15 pair sets, the 4 + 6 + 4 + 1 of one pass,
+    # where calls that each start from level 1 evaluate 4 + 10 + 14 + 15 = 43.
+    evaluated = []
+
+    def counted(lattice, combo):
+        evaluated.append(combo)
+        return selector_sums(lattice, combo)
+
+    selector_sums = axioms._selector_sums
+    monkeypatch.setattr(axioms, "_selector_sums", counted)
+    cs = build_separator(4).structure
+    verdicts = [axioms.check_d2(cs, n) for n in range(1, 5)]
     assert [v.examined for v in verdicts] == [736, 1618, 2206, 2218]
     assert [v.passed for v in verdicts] == [True, True, True, False]
     assert [v.params for v in verdicts] == [{"n": n} for n in range(1, 5)]
+    assert len(evaluated) == len(set(evaluated)) == 15
+    evaluated.clear()
+    for n in range(1, 5):
+        axioms.check_d2(fresh(cs), n)
+    assert len(evaluated) == 43
+
+
+def _resumed_calls(cs):
+    """Every level-bounded d1+ and d2 call on cs, then the unbounded ones,
+    as (name, call) pairs; levels run to one past the pair count."""
+    top = len(cs.contact.noncontact_pairs()) + 1
+    calls = []
+    for n in range(1, top + 1):
+        calls.append((f"d1plus {n}", lambda c, n=n: _strip(axioms.check_d1_plus(c, n))))
+        calls.append((f"d2 {n}", lambda c, n=n: _strip(axioms.check_d2(c, n))))
+    calls.append(("d2all", lambda c: _strip(axioms.decide_d2_all(c))))
+    calls.append(("profile", lambda c: axioms.profile_of(c).to_json()))
+    return calls
+
+
+def assert_resuming_is_invisible(cs):
+    # Ascending, descending and interleaved (d2 from the top down while d1+
+    # goes up, the unbounded calls in the middle) on one structure each:
+    # every call equals the same call on a fresh copy, examined included.
+    calls = _resumed_calls(cs)
+    expected = {name: call(fresh(cs)) for name, call in calls}
+    bounded, unbounded = calls[:-2], calls[-2:]
+    d1plus, d2 = bounded[0::2], bounded[1::2]
+    middle = len(d1plus) // 2
+    interleaved = [
+        call for pair in zip(d1plus, reversed(d2)) for call in pair
+    ]
+    interleaved[2 * middle:2 * middle] = unbounded
+    orders = [calls, calls[::-1], interleaved]
+    for order in orders:
+        assert sorted(name for name, _ in order) == sorted(expected)
+        structure = fresh(cs)
+        for name, call in order:
+            assert call(structure) == expected[name], name
+
+
+def test_resumed_searches_agree_with_fresh_ones_on_every_contact_to_size_seven():
+    checked = 0
+    for cs in small_contacts(7):
+        assert_resuming_is_invisible(cs)
+        checked += 1
+    assert checked == 2043
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_resumed_searches_agree_with_fresh_ones_on_separators(n):
+    assert_resuming_is_invisible(build_separator(n).structure)
