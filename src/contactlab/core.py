@@ -285,8 +285,11 @@ class FiniteJoinSemilattice:
         images = [full_mask(len(columns))] * self.size
         for j, m in enumerate(columns):
             bit = 1 << j
-            for x in iter_bits(below[m]):
-                images[x] ^= bit
+            rest = below[m]
+            while rest:
+                low = rest & -rest
+                images[low.bit_length() - 1] ^= bit
+                rest ^= low
         return tuple(images)
 
     def meets(self, columns: Sequence[int], masks: Sequence[int]) -> tuple[int, ...]:
@@ -301,9 +304,11 @@ class FiniteJoinSemilattice:
         for mask in masks:
             meet = memo.get(mask)
             if meet is None:
-                meet = everything
-                for j in iter_bits(mask):
-                    meet &= below[columns[j]]
+                meet, rest = everything, mask
+                while rest:
+                    low = rest & -rest
+                    meet &= below[columns[low.bit_length() - 1]]
+                    rest ^= low
                 memo[mask] = meet
             out.append(meet)
         return tuple(out)

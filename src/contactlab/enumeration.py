@@ -1,13 +1,16 @@
 """Exhaustive generation of small contact semilattices up to isomorphism.
 
-Join-semilattices with 0 are generated through their posets: posets with a
-bottom element are grown one maximal element at a time (every poset arises
-this way by deleting a maximal element), deduplicated per size by a canonical
-form, and filtered for existence of all binary joins.  Survivors are realized
-as union-closed set families through the canonical filter embedding
+Finite join-semilattices with 0 are the finite lattices, and they are grown
+one coatom at a time (Heitzig & Reinhold, "Counting finite lattices", 2002).
+A lattice minus its top is a meet-semilattice with 0.  Deleting a maximal
+element m of a meet-semilattice leaves one, since x ^ y = m would force
+m <= x, so m = x; putting m back under the top over D = (down-set of m) - {m}
+is one growth step.  So every lattice of size k + 1 >= 3 arises from one of
+size k.  The grown lattices are deduplicated per size by a canonical form and
+realized as union-closed set families through the canonical filter embedding
 ``a -> {m : a not below m}`` over the non-maximum carrier elements.
 
-One canonical form covers posets and contact structures alike: the least
+One canonical form covers lattices and contact structures alike: the least
 relabelling of the up-set masks (and of the contact rows) over permutations
 that fix the bottom and respect cheap isomorphism invariants.  Contacts on a
 fixed carrier are exactly the overlap relation plus an up-closed set of
@@ -48,7 +51,7 @@ from . import serialize
 
 SIZE_CAP = 8
 
-# A poset on k points is a tuple ``le`` of k up-set masks: bit j of le[i]
+# A lattice on k points is a tuple ``le`` of k up-set masks: bit j of le[i]
 # means i <= j.  Index 0 is always the bottom.
 
 
@@ -61,11 +64,14 @@ def _transpose(le: tuple[int, ...]) -> list[int]:
 
 
 def _apply_perm(masks: tuple[int, ...], p: list[int]) -> tuple[int, ...]:
+    bits = [1 << q for q in p]
     out = [0] * len(masks)
     for i, mask in enumerate(masks):
         m = 0
-        for j in iter_bits(mask):
-            m |= 1 << p[j]
+        while mask:
+            low = mask & -mask
+            m |= bits[low.bit_length() - 1]
+            mask ^= low
         out[p[i]] = m
     return tuple(out)
 
@@ -119,32 +125,30 @@ def _canonical_le(le: tuple[int, ...]) -> tuple[int, ...]:
     return min(_apply_perm(le, p) for p in _class_respecting_perms(inv))
 
 
-def _extend_posets(classes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """All bottomed posets one element larger, canonical, sorted."""
+def _extend_lattices(lattices: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """All lattices one element larger, canonical, sorted: each lattice of
+    size k >= 2 with top t gains a coatom k over every set D of elements
+    other than t that meets each principal down-set of L minus t in a
+    principal down-set (such a D is a down-set containing 0, and the
+    greatest element of D below x becomes the meet of k and x)."""
+    if lattices == [(1,)]:
+        return [(0b11, 0b10)]
     out: set[tuple[int, ...]] = set()
-    for le in classes:
+    for le in lattices:
         k = len(le)
+        top = next(i for i in range(k) if le[i] == 1 << i)
         down = _transpose(le)
-        for dset in range(1, 1 << k, 2):  # down-sets containing the bottom
-            if any(down[x] & ~dset for x in iter_bits(dset)):
+        principal = set(down)
+        for dset in range(1, 1 << k, 2):
+            if (dset >> top) & 1 or any(
+                dset & down[x] not in principal for x in range(k) if x != top
+            ):
                 continue
             grown = tuple(
                 le[x] | ((1 << k) if (dset >> x) & 1 else 0) for x in range(k)
-            ) + (1 << k,)
+            ) + (1 << k | 1 << top,)
             out.add(_canonical_le(grown))
     return sorted(out)
-
-
-def _is_lattice(le: tuple[int, ...]) -> bool:
-    k = len(le)
-    for x in range(k):
-        for y in range(x + 1, k):
-            ubs = le[x] & le[y]
-            if not ubs:
-                return False
-            if not any(ubs & ~le[z] == 0 for z in iter_bits(ubs)):
-                return False
-    return True
 
 
 def _realize(le: tuple[int, ...]) -> FiniteJoinSemilattice:
@@ -177,13 +181,12 @@ def enumerate_semilattices(max_size: int) -> Iterator[FiniteJoinSemilattice]:
         raise CapExceededError(
             f"max_size {max_size} exceeds enumeration cap {SIZE_CAP}"
         )
-    classes: list[tuple[int, ...]] = [(1,)]
+    lattices: list[tuple[int, ...]] = [(1,)]
     for size in range(1, max_size + 1):
         if size > 1:
-            classes = _extend_posets(classes)
-        for le in classes:
-            if _is_lattice(le):
-                yield _realize(le)
+            lattices = _extend_lattices(lattices)
+        for le in lattices:
+            yield _realize(le)
 
 
 def enumerate_contacts(lattice: FiniteJoinSemilattice) -> Iterator[ContactRelation]:
@@ -228,17 +231,22 @@ def enumerate_contacts(lattice: FiniteJoinSemilattice) -> Iterator[ContactRelati
 
 def iso_class_key(cs: ContactStructure) -> str:
     """Digest shared exactly by isomorphic contact structures: the least
-    relabelled (order, contact) pair over class-respecting permutations.
-    The order determines the joins, so it stands for the whole lattice."""
+    relabelled (order, contact) pair over class-respecting permutations;
+    the contact is relabelled only where the order is no worse than the
+    least so far.  The order determines the joins, so it stands for the
+    whole lattice."""
     up, down, rows = cs.lattice.leq_masks, cs.lattice.below_masks, cs.contact.rows
     inv = [
         (up[i].bit_count(), down[i].bit_count(), rows[i].bit_count())
         for i in range(cs.size)
     ]
-    enc = min(
-        (_apply_perm(up, p), _apply_perm(rows, p))
-        for p in _class_respecting_perms(inv)
-    )
+    perms = _class_respecting_perms(inv)
+    first = next(perms)
+    enc = (_apply_perm(up, first), _apply_perm(rows, first))
+    for p in perms:
+        order = _apply_perm(up, p)
+        if order <= enc[0]:
+            enc = min(enc, (order, _apply_perm(rows, p)))
     return hashlib.sha256(repr(enc).encode()).hexdigest()
 
 

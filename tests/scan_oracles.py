@@ -33,11 +33,20 @@ relation from its related pairs), ``parity_products_sum_form`` (the parity
 products as sums of full literal products, the second normal form the
 library's selector-sum products must equal) and ``count_semilattice_tables``
 (semilattice classes counted by filtering every binary operation table,
-independent of the library's poset-extension generator).
+independent of the library's lattice-growth generator).
+
+``lattices_by_poset_growth`` finds the lattices as the library did before it
+grew them a coatom at a time: it grows every bottomed poset one maximal
+element at a time and keeps those with all binary joins; the canonical forms
+per size must be the library's.  ``iso_class_key_reference`` is the
+one-stage least (order, contact) pair over ``apply_perm_reference``, the
+per-bit relabelling, which the library's two-stage key and its automorphisms
+must match.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import dataclass, replace
@@ -62,7 +71,12 @@ from contactlab.core import (
     is_subset,
     iter_bits,
 )
-from contactlab.enumeration import _inverse
+from contactlab.enumeration import (
+    _canonical_le,
+    _class_respecting_perms,
+    _inverse,
+    _transpose,
+)
 from contactlab.representation import Refusal, Representation
 from contactlab.serialize import SchemaError
 
@@ -108,7 +122,7 @@ def parity_products_sum_form(n: int) -> tuple[Bits, Bits]:
 
 def count_semilattice_tables(k: int) -> int:
     """Classes of size-k join-semilattices with 0, found by filtering all
-    binary operation tables; independent of the poset-extension generator."""
+    binary operation tables; independent of the lattice-growth generator."""
     if k < 1:
         raise ValueError("size must be positive")
     if k > TABLE_ORACLE_CAP:
@@ -147,6 +161,74 @@ def count_semilattice_tables(k: int) -> int:
         )
         canon.add(best)
     return len(canon)
+
+
+def _extend_posets(classes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """All bottomed posets one element larger, canonical, sorted."""
+    out: set[tuple[int, ...]] = set()
+    for le in classes:
+        k = len(le)
+        down = _transpose(le)
+        for dset in range(1, 1 << k, 2):  # down-sets containing the bottom
+            if any(down[x] & ~dset for x in iter_bits(dset)):
+                continue
+            grown = tuple(
+                le[x] | ((1 << k) if (dset >> x) & 1 else 0) for x in range(k)
+            ) + (1 << k,)
+            out.add(_canonical_le(grown))
+    return sorted(out)
+
+
+def _is_lattice(le: tuple[int, ...]) -> bool:
+    k = len(le)
+    for x in range(k):
+        for y in range(x + 1, k):
+            ubs = le[x] & le[y]
+            if not ubs:
+                return False
+            if not any(ubs & ~le[z] == 0 for z in iter_bits(ubs)):
+                return False
+    return True
+
+
+def lattices_by_poset_growth(max_size: int) -> list[list[tuple[int, ...]]]:
+    """Per size 1..max_size, the canonical up-set masks of every lattice,
+    sorted: bottomed posets grown one maximal element at a time (every
+    poset arises by deleting a maximal element), filtered for all joins."""
+    posets: list[tuple[int, ...]] = [(1,)]
+    out = []
+    for size in range(1, max_size + 1):
+        if size > 1:
+            posets = _extend_posets(posets)
+        out.append([le for le in posets if _is_lattice(le)])
+    return out
+
+
+def apply_perm_reference(masks: tuple[int, ...], p: list[int]) -> tuple[int, ...]:
+    """Relabel each mask bit by bit: bit j of masks[i] becomes bit p[j] of
+    out[p[i]]."""
+    out = [0] * len(masks)
+    for i, mask in enumerate(masks):
+        m = 0
+        for j in iter_bits(mask):
+            m |= 1 << p[j]
+        out[p[i]] = m
+    return tuple(out)
+
+
+def iso_class_key_reference(cs: ContactStructure) -> str:
+    """The least relabelled (order, contact) pair, as one minimum over the
+    class-respecting permutations."""
+    up, down, rows = cs.lattice.leq_masks, cs.lattice.below_masks, cs.contact.rows
+    inv = [
+        (up[i].bit_count(), down[i].bit_count(), rows[i].bit_count())
+        for i in range(cs.size)
+    ]
+    enc = min(
+        (apply_perm_reference(up, p), apply_perm_reference(rows, p))
+        for p in _class_respecting_perms(inv)
+    )
+    return hashlib.sha256(repr(enc).encode()).hexdigest()
 
 
 def _labelled_perms(k: int):

@@ -1,5 +1,6 @@
 """Enumeration: class counts, contact generation, iso keys, corpus findings."""
 
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -24,6 +25,8 @@ from contactlab.enumeration import (
     _automorphisms,
     _class_respecting_perms,
     _classify_lattice,
+    _extend_lattices,
+    _realize,
     classify_corpus,
     corpus_implications,
     enumerate_contacts,
@@ -31,7 +34,13 @@ from contactlab.enumeration import (
     find_minimal_separators,
     iso_class_key,
 )
-from scan_oracles import check_d2_naive, count_semilattice_tables
+from scan_oracles import (
+    apply_perm_reference,
+    check_d2_naive,
+    count_semilattice_tables,
+    iso_class_key_reference,
+    lattices_by_poset_growth,
+)
 
 
 def brute_force_contacts(lattice):
@@ -140,6 +149,50 @@ def test_enumeration_cap():
         count_semilattice_tables(6)
 
 
+def test_lattice_growth_matches_poset_growth():
+    # Same canonical lattices per size as growing every poset and keeping
+    # the lattices, and the same carriers in the same order.
+    by_poset_growth = lattices_by_poset_growth(8)
+    lattices = [(1,)]
+    for size, expected in enumerate(by_poset_growth, start=1):
+        if size > 1:
+            lattices = _extend_lattices(lattices)
+        assert lattices == expected
+    carriers = [
+        (lattice.width, lattice.carrier) for lattice in enumerate_semilattices(8)
+    ]
+    realized = [_realize(le) for per_size in by_poset_growth for le in per_size]
+    assert carriers == [(lattice.width, lattice.carrier) for lattice in realized]
+
+
+def lattices_of_size(size):
+    lattices = [(1,)]
+    for _ in range(size - 1):
+        lattices = _extend_lattices(lattices)
+    return lattices
+
+
+def test_lattice_growth_past_the_cap_gives_size_nine():
+    assert len(lattices_of_size(9)) == 1078  # OEIS A006966(9)
+
+
+@pytest.mark.slow
+def test_lattice_growth_past_the_cap_gives_size_ten():
+    assert len(lattices_of_size(10)) == 5994  # OEIS A006966(10)
+
+
+def test_canonical_labelling_is_pinned():
+    # The corpus files are written in this labelling, so any drift in it
+    # changes their bytes.
+    carriers = [
+        (lattice.width, lattice.carrier) for lattice in enumerate_semilattices(8)
+    ]
+    digest = hashlib.sha256(repr(carriers).encode()).hexdigest()
+    assert digest == (
+        "42001f748cb3b1818c347fb07dea809e770bb3898fbcb1ad37bbe4b0d027be84"
+    )
+
+
 def test_realized_carriers_are_valid_families():
     for lattice in enumerate_semilattices(5):
         # re-validating constructor: sortedness, zero, union closure
@@ -234,6 +287,25 @@ def test_iso_key_partition_matches_join_table_reference():
             contacts += 1
     assert contacts == 2043
     assert len(keys) == len(references) == len(both) == 558
+
+
+def test_iso_key_matches_one_stage_reference(sep2):
+    structures = [
+        ContactStructure(lattice, relation)
+        for lattice in enumerate_semilattices(7)
+        for relation in enumerate_contacts(lattice)
+    ]
+    assert len(structures) == 2043
+    for cs in structures + [sep2.structure]:
+        assert iso_class_key(cs) == iso_class_key_reference(cs)
+
+
+def test_automorphisms_match_per_bit_relabelling(monkeypatch):
+    lattices = list(enumerate_semilattices(7))
+    assert len(lattices) == 78
+    got = [_automorphisms(lattice) for lattice in lattices]
+    monkeypatch.setattr(enumeration, "_apply_perm", apply_perm_reference)
+    assert got == [_automorphisms(lattice) for lattice in lattices]
 
 
 def test_orbit_dedupe_matches_key_dedupe():
