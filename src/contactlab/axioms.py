@@ -59,6 +59,18 @@ which resumes above the deepest level an earlier search on the structure
 passed and counts the skipped levels as a scan would: levels 1..n one call
 at a time cost one pass, and each verdict is that of a fresh structure.
 
+On a weak contact, d2 holds at level 1: if x and y each bound a or b for a
+contact pair a d b, monotonicity gives x d y (with reflexivity on a nonzero
+a or b, or symmetry in the mixed case), so (x, y) is no non-contact pair.
+The d2 walk therefore starts at level 2 there, counting level 1 as skipped;
+on any other relation it starts at level 1, where it can fail.
+
+``profile_of`` keeps flags, not witnesses, so it takes d2minus from the
+column test alone and runs no d2minus search.  The searches it still runs
+are d1+ up to ``d1_plus_max`` (level 1 at least, for d1) and d2 up to the
+pair count, for ``d2_all_least_failing``; both run only past their column
+tests.
+
 Note on ``d2minus``: two one-sided conventions are possible.  Here the b-side
 bound is required exactly on selectors picking the first component of the
 distinguished pair and the a-side bound on the remaining selectors; this is
@@ -73,7 +85,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .core import (
     ContactStructure,
@@ -329,21 +341,43 @@ def _d2_violated(cs: ContactStructure) -> bool:
     return any(rows[a] & disjoint[a] for a in range(1, cs.size))
 
 
+def _d2minus_slots(cs: ContactStructure) -> Iterator[tuple[int, int, bool]]:
+    """The first-slot pairs (x1, y1) of d2minus in scan order, each with the
+    column test's answer: whether some b in D(x1) is in contact with some a
+    in D(y1).  With all remaining pairs in play, D(x1) and D(y1) are exactly
+    the b-side and a-side bounds, so d2minus fails with first pair (x1, y1)
+    iff the answer is yes."""
+    rows, domains = cs.contact.rows, cs.column_domains
+    for x1 in range(cs.size):
+        reach = 0
+        for b in iter_bits(domains[x1]):
+            reach |= rows[b]
+        for y1 in range(x1, cs.size):
+            if not (rows[x1] >> y1) & 1:
+                yield x1, y1, bool(reach & domains[y1])
+
+
+def _d2minus_violated(cs: ContactStructure) -> bool:
+    """Column test: d2minus fails with some first pair."""
+    return any(violated for _, _, violated in _d2minus_slots(cs))
+
+
 def _least_failing_level(
     cs: ContactStructure, max_size: int, kind: str, first: int,
-    first_hit: Callable[[list[int]], tuple[int, int] | None],
+    first_hit: Callable[[list[int]], tuple[int, int] | None], floor: int = 0,
 ) -> tuple[int | None, Witness | None, int]:
     """Least pair-count m <= max_size at which a set of m pairs has a
     ``kind`` violation, with its witness.  Pair sets go by size, then in
     lexicographic order; ``first_hit(sums)`` scans a upward from ``first``
     and gives the least violating (a, b), or None.  ``examined`` counts the
     elements scanned.  The deepest level completed without a hit is kept on
-    ``cs``; a later walk skips to it, counting C(|P|, j) sets per level j."""
+    ``cs``; a later walk skips to it, or to ``floor`` (a level known free
+    without a scan) if that is deeper, counting C(|P|, j) sets per level j."""
     lattice = cs.lattice
     pairs = cs.contact.noncontact_pairs()
     per_set = lattice.size - first
     known = f"{kind}_holds_to"
-    skipped = min(getattr(cs, known), max_size)
+    skipped = min(max(getattr(cs, known), floor), max_size)
     examined = lattice.size + per_set * sum(
         comb(len(pairs), j) for j in range(1, skipped + 1)
     )
@@ -416,6 +450,9 @@ def _first_d2_violation(
     a hit and by size - 1 otherwise, one unit per element scanned, skipped
     levels included (``_least_failing_level``).  The search runs only if the
     column test finds a violation at some level.
+
+    On a weak contact the walk starts at level 2, as level 1 cannot fail
+    there (module docstring); on any other relation it starts at level 1.
     """
     lattice = cs.lattice
     if not _d2_violated(cs):
@@ -424,7 +461,8 @@ def _first_d2_violation(
     def first_hit(sums: list[int]) -> tuple[int, int] | None:
         return cs.first_uncovered_pair(lattice.meets(sums, lattice.images_over(sums)))
 
-    return _least_failing_level(cs, max_size, "d2", 1, first_hit)
+    floor = 1 if cs.is_weak_contact else 0
+    return _least_failing_level(cs, max_size, "d2", 1, first_hit, floor)
 
 
 def check_d2(cs: ContactStructure, n: int) -> Verdict:
@@ -467,30 +505,16 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
     of the distinguished pair is absorbed by scanning ordered (a, b).
 
     A distinguished pair (x1, y1) is searched only if the column test finds
-    some b in D(x1) in contact with some a in D(y1): with all remaining pairs
-    in play, D(x1) and D(y1) are exactly the b-side and a-side bounds.
+    a violation with it (``_d2minus_slots``); the search then gives the
+    witness with the fewest remaining pairs.
     """
     start = time.perf_counter()
     lattice, rel = cs.lattice, cs.contact
-    size = lattice.size
     nonzero_pairs = rel.noncontact_pairs()
-    first_slot = [
-        (i, j)
-        for i in range(size)
-        for j in range(i, size)
-        if not (rel.rows[i] >> j) & 1
-    ]
-    domains = cs.column_domains
-    reach = []
-    for dom in domains:
-        touched = 0
-        for b in iter_bits(dom):
-            touched |= rel.rows[b]
-        reach.append(touched)
     examined = 0
-    for x1, y1 in first_slot:
+    for x1, y1, violated in _d2minus_slots(cs):
         examined += 1
-        if not reach[x1] & domains[y1]:
+        if not violated:
             continue
         pool = [p for p in nonzero_pairs if p != (x1, y1)]
         for r in range(len(pool) + 1):
@@ -523,8 +547,9 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
 def profile_of(
     cs: ContactStructure, d1_plus_max: int = 3, d2_max: int = 3
 ) -> AxiomProfile:
-    """Run every checker at the given depths; deterministic.  The weak
-    contact check is the first thing ``check_additive`` does."""
+    """Every schema's flags at the given depths; deterministic.  The weak
+    contact check is the first thing ``check_additive`` does.  A flag needs
+    no witness, so d2minus is its column test alone."""
     additive = check_additive(cs).passed
     # A missing violation means the schema holds at every level, not just the
     # scanned ones: levels beyond the distinct-pair count only repeat summands.
@@ -539,7 +564,7 @@ def profile_of(
         d1=1 < first1,
         d1_plus=tuple(n < first1 for n in range(1, d1_plus_max + 1)),
         d2=tuple(n < first2 for n in range(1, d2_max + 1)),
-        d2_minus=check_d2_minus(cs).passed,
+        d2_minus=not _d2minus_violated(cs),
         d2_all=m2 is None,
         d2_all_least_failing=m2,
     )

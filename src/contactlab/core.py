@@ -7,9 +7,9 @@ machine-word and wider ground sets.  Widths are owned by the containing
 structure; raw masks never travel between structures of different width.
 
 All structures are immutable after construction and all operations are pure;
-what a structure caches (derived masks, the levels the axiom searches found
-free of violations) only records facts about it.  So values can be shared
-freely across threads or processes.
+what a structure caches (derived masks, the non-contact pairs, the levels
+the axiom searches found free of violations) only records facts about it.
+So values can be shared freely across threads or processes.
 """
 
 from __future__ import annotations
@@ -387,12 +387,16 @@ class ContactRelation:
 
     def noncontact_pairs(self) -> list[tuple[int, int]]:
         """Unrelated unordered pairs of distinct nonzero indices, ascending."""
-        out = []
+        return list(self._noncontact)
+
+    @cached_property
+    def _noncontact(self) -> tuple[tuple[int, int], ...]:
         everything = full_mask(self.size)
-        for i in range(1, self.size):
-            for j in iter_bits((everything & ~self.rows[i]) >> (i + 1)):
-                out.append((i, i + 1 + j))
-        return out
+        return tuple(
+            (i, i + 1 + j)
+            for i in range(1, self.size)
+            for j in iter_bits((everything & ~self.rows[i]) >> (i + 1))
+        )
 
 
 def contact_all_except(

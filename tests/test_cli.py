@@ -1,5 +1,6 @@
 """CLI surface: exit codes, certificates, corpus files, DOT output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -162,6 +163,24 @@ def test_enumerate_size_two(tmp_path):
 def test_enumerate_size_five_clean(tmp_path):
     out = tmp_path / "five"
     assert main(["enumerate", "--max-size", "5", "--out", str(out)]) == 0
+
+
+def test_corpus_bytes_are_pinned(tmp_path, capsys):
+    # The corpus files to size 7, byte for byte: what a profile skips (d2
+    # level 1 on a weak contact, the d2minus search) must not move a byte.
+    out = tmp_path / "seven"
+    argv = ["enumerate", "--max-size", "7", "--depth", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("558 structure classes up to size 7\n")
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("corpus.jsonl", "summary.csv", "implications.json")
+    }
+    assert digests == {
+        "corpus.jsonl": "9106e3ecc3e5f1ebc754d71b0808b8ada95d20645dad2f41714d6c7ff990bfcb",
+        "summary.csv": "5a0d037edb868ffdfc92321ffa3dc7a0a3b3cc01d4536230e4128fd7c83dcf70",
+        "implications.json": "f515c1f42cf61e893ab8eb1db6c224fc28037852ff7595af34f367bf112c1a22",
+    }
 
 
 def test_corpus_independent_of_hash_seed(tmp_path):

@@ -16,7 +16,12 @@ import scan_oracles
 from contactlab import axioms
 from contactlab.axioms import InvalidContactError, require_weak_contact
 from contactlab.constructions import build_separator
-from contactlab.core import ContactRelation, ContactStructure
+from contactlab.core import (
+    ContactRelation,
+    ContactStructure,
+    FiniteJoinSemilattice,
+    contact_all_except,
+)
 from contactlab.enumeration import enumerate_contacts, enumerate_semilattices
 from test_column_gates import overlap_closures
 
@@ -175,8 +180,9 @@ def test_level_five_counters(sep5):
 def test_one_d2_pass_examines_each_level_once(monkeypatch):
     # Levels 1..4 of the level-4 separator, one call each, report the
     # counts of separate scans, 736 + 1,618 + 2,206 + 2,218 = 6,778
-    # elements, but evaluate 15 pair sets, the 4 + 6 + 4 + 1 of one pass,
-    # where calls that each start from level 1 evaluate 4 + 10 + 14 + 15 = 43.
+    # elements, but evaluate 11 pair sets, the 6 + 4 + 1 of one pass from
+    # level 2 (level 1 cannot fail on a weak contact and is only counted),
+    # where calls that each start afresh evaluate 0 + 6 + 10 + 11 = 27.
     evaluated = []
 
     def counted(lattice, combo):
@@ -190,11 +196,51 @@ def test_one_d2_pass_examines_each_level_once(monkeypatch):
     assert [v.examined for v in verdicts] == [736, 1618, 2206, 2218]
     assert [v.passed for v in verdicts] == [True, True, True, False]
     assert [v.params for v in verdicts] == [{"n": n} for n in range(1, 5)]
-    assert len(evaluated) == len(set(evaluated)) == 15
+    assert len(evaluated) == len(set(evaluated)) == 11
     evaluated.clear()
     for n in range(1, 5):
         axioms.check_d2(fresh(cs), n)
-    assert len(evaluated) == 43
+    assert len(evaluated) == 27
+
+
+def test_d2_level_one_holds_on_every_weak_contact():
+    # Why the d2 walk starts at level 2 on a weak contact: if x and y each
+    # bound a or b of a contact pair a d b, monotonicity gives x d y, so no
+    # single non-contact pair (x, y) separates a contact pair.
+    structures = [*small_contacts(7), *(build_separator(n).structure for n in (2, 3, 4))]
+    for cs in structures:
+        assert cs.is_weak_contact
+        assert scan_oracles.first_d2_violation(cs, 1)[:2] == (None, None)
+    assert len(structures) == 2046
+
+
+def test_d2_level_one_can_fail_off_a_weak_contact():
+    # c = 001 is in contact with itself and lies below x = 011 and y = 101,
+    # which are not in contact: monotonicity fails, and d2 fails at level 1
+    # with a = b = c.  The walk must not skip level 1 here.
+    lattice = FiniteJoinSemilattice(3, (0b000, 0b001, 0b011, 0b101, 0b111))
+    cs = ContactStructure(lattice, contact_all_except(5, [(2, 3)]))
+    assert not cs.is_weak_contact
+    verdict = axioms.check_d2(cs, 1)
+    m, witness, examined = scan_oracles.gated_first_d2_violation(fresh(cs), 1)
+    assert (m, dict(witness.elements), witness.pairs) == (1, {"a": 1, "b": 1}, ((2, 3),))
+    assert (verdict.witness, verdict.examined) == (witness, examined)
+
+
+def test_d2_level_one_agrees_on_corrupted_contacts():
+    # Every one- and two-sided toggle of every contact up to size 6 that is
+    # no longer a weak contact: the library's level-1 verdict is the gated
+    # scan's, which starts at level 1, witness and count included.
+    failing = 0
+    for cs in small_contacts():
+        for bad in corruptions(cs):
+            if bad.is_weak_contact:
+                continue
+            verdict = axioms.check_d2(bad, 1)
+            _, witness, examined = scan_oracles.gated_first_d2_violation(bad, 1)
+            assert (verdict.witness, verdict.examined) == (witness, examined)
+            failing += witness is not None
+    assert failing == 2418
 
 
 def _resumed_calls(cs):
