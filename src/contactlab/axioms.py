@@ -66,10 +66,10 @@ The d2 walk therefore starts at level 2 there, counting level 1 as skipped;
 on any other relation it starts at level 1, where it can fail.
 
 ``profile_of`` keeps flags, not witnesses, so it takes d2minus from the
-column test alone and runs no d2minus search.  The searches it still runs
-are d1+ up to ``d1_plus_max`` (level 1 at least, for d1) and d2 up to the
-pair count, for ``d2_all_least_failing``; both run only past their column
-tests.
+column test alone and runs no d2minus search.  It runs d1+ up to its one
+``depth`` (d1 is the level-1 flag) and d2 up to the pair count, whose least
+failing level gives ``d2_all`` and the d2 flags to the same depth; both
+searches run only past their column tests.
 
 Note on ``d2minus``: two one-sided conventions are possible.  Here the b-side
 bound is required exactly on selectors picking the first component of the
@@ -162,11 +162,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class AxiomProfile:
-    """Flags for every schema at the requested depths.
+    """Flags for every schema at the requested depth.
 
     ``d1_plus[i]`` and ``d2[i]`` hold the level-(i+1) verdicts.  The
-    representability flags start unset and are filled by the representation
-    layer.
+    representability flags start unset; the corpus fills them from the
+    representation deciders.
     """
 
     weak_contact: bool
@@ -544,26 +544,26 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
 # profiles and witness re-validation
 
 
-def profile_of(
-    cs: ContactStructure, d1_plus_max: int = 3, d2_max: int = 3
-) -> AxiomProfile:
-    """Every schema's flags at the given depths; deterministic.  The weak
-    contact check is the first thing ``check_additive`` does.  A flag needs
-    no witness, so d2minus is its column test alone."""
+def profile_of(cs: ContactStructure, depth: int = 3) -> AxiomProfile:
+    """Every schema's flags, d1+ and d2 at levels 1..depth; deterministic.
+    The weak contact check is the first thing ``check_additive`` does.  A
+    flag needs no witness, so d2minus is its column test alone."""
+    if depth < 1:
+        raise ValueError(f"depth must be positive, got {depth}")
     additive = check_additive(cs).passed
     # A missing violation means the schema holds at every level, not just the
     # scanned ones: levels beyond the distinct-pair count only repeat summands.
-    # d1 is d1+ at level 1, so the scan reaches level 1 at least.
-    m1, _, _ = _first_d1plus_violation(cs, max(d1_plus_max, 1))
+    m1, _, _ = _first_d1plus_violation(cs, depth)
     m2, _, _ = _first_d2_violation(cs, len(cs.contact.noncontact_pairs()))
     first1 = m1 if m1 is not None else float("inf")
     first2 = m2 if m2 is not None else float("inf")
+    d1_plus = tuple(n < first1 for n in range(1, depth + 1))
     return AxiomProfile(
         weak_contact=True,
         additive=additive,
-        d1=1 < first1,
-        d1_plus=tuple(n < first1 for n in range(1, d1_plus_max + 1)),
-        d2=tuple(n < first2 for n in range(1, d2_max + 1)),
+        d1=d1_plus[0],
+        d1_plus=d1_plus,
+        d2=tuple(n < first2 for n in range(1, depth + 1)),
         d2_minus=not _d2minus_violated(cs),
         d2_all=m2 is None,
         d2_all_least_failing=m2,

@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -69,13 +70,32 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+class OutputError(Exception):
+    """An ``--out`` target that cannot be created or written."""
+
+
+@contextmanager
+def _writing(out: str):
+    """Turn an OSError raised while creating or writing ``out`` into an
+    OutputError naming the path, which ``main`` reports as exit 2."""
+    try:
+        yield
+    except OSError as exc:
+        path = exc.filename or out
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_text(out: str, text: str) -> None:
+    with _writing(out):
+        Path(out).write_text(text, encoding="utf-8")
+
+
 def _write_certificate(out: str | None, *parts) -> None:
     """Build the certificate from ``build_certificate``'s arguments and write
     it to ``out``; without ``--out`` nothing is built."""
     if out is None:
         return
-    cert = build_certificate(*parts)
-    Path(out).write_text(canonical_dumps(cert), encoding="utf-8")
+    _write_text(out, canonical_dumps(build_certificate(*parts)))
     print(f"certificate written to {out}")
 
 
@@ -176,19 +196,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.max_size < 1:
         return _usage_error("--max-size must be at least 1")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = classify_corpus(
-        args.max_size,
-        d1_plus_max=args.depth,
-        d2_max=args.depth,
-        threads=args.threads,
-    )
+    with _writing(args.out):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    records = classify_corpus(args.max_size, args.depth, args.threads)
 
-    with open(out_dir / "corpus.jsonl", "w", encoding="utf-8") as handle:
+    corpus = out_dir / "corpus.jsonl"
+    with _writing(args.out), open(corpus, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
 
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as handle:
+    summary = out_dir / "summary.csv"
+    with _writing(args.out), open(summary, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         header = ["key", "size", "noncontact_pairs", "weak_contact", "additive", "d1"]
         header += [f"d1plus_{i + 1}" for i in range(args.depth)]
@@ -214,8 +232,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             writer.writerow(row)
 
     report = corpus_implications(records)
-    with open(out_dir / "implications.json", "w", encoding="utf-8") as handle:
-        handle.write(canonical_dumps({"implications": report}))
+    _write_text(str(out_dir / "implications.json"), canonical_dumps({"implications": report}))
 
     print(f"{len(records)} structure classes up to size {args.max_size}")
     for item in report:
@@ -250,7 +267,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         cs, roles = structure_from_json(structure)
         dot = structure_to_dot(cs, roles or None)
     if args.out:
-        Path(args.out).write_text(dot, encoding="utf-8")
+        _write_text(args.out, dot)
         print(f"dot written to {args.out}")
     else:
         sys.stdout.write(dot)
@@ -313,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     except (SchemaError, InvalidContactError, CapExceededError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except OutputError as exc:
+        return _usage_error(str(exc))
 
 
 def entry() -> None:

@@ -170,10 +170,6 @@ class FiniteJoinSemilattice:
         return len(self.carrier)
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    @property
     def top(self) -> int:
         return len(self.carrier) - 1
 
@@ -197,18 +193,10 @@ class FiniteJoinSemilattice:
         return self.carrier[x] & ~self.carrier[y] == 0
 
     def meet(self, x: int, y: int) -> int:
-        """Greatest common lower bound within the carrier.
-
-        Common lower bounds are exactly the carrier elements inside the bit
-        intersection; they are closed under union and contain 0, so their
-        union is itself a common lower bound and hence the greatest one.
-        """
-        cap = self.carrier[x] & self.carrier[y]
-        glb = 0
-        for bits in self.carrier:
-            if bits & ~cap == 0:
-                glb |= bits
-        return self.index[glb]
+        """Greatest common lower bound within the carrier: the highest index
+        below both.  It contains every other common lower bound, so it has
+        the largest bit pattern, and the carrier is sorted by bit pattern."""
+        return (self.below_masks[x] & self.below_masks[y]).bit_length() - 1
 
     def atoms(self) -> tuple[int, ...]:
         """Indices of minimal nonzero elements."""

@@ -22,6 +22,11 @@ onto the other.  Aut(L) is computed once per lattice; the first contact of
 each orbit stands for its class, its orbit is marked seen, and only it is
 keyed by the canonical form.  Up to size 8 that keys the 6,419 classes,
 not the 54,888 contacts.
+
+A class is profiled where it is found: ``profile_of`` to one depth plus both
+representation deciders, lattice by lattice, in the calling process or in a
+worker.  Every reader of the corpus (the ``enumerate`` files, the
+implication report, ``find_minimal_separators``) reads those flags.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import partial
 from itertools import permutations, product
+from math import comb
 from typing import Any, Iterator
 
-from .axioms import AxiomProfile, check_d1, check_d2, profile_of
+from .axioms import AxiomProfile, profile_of
 from .core import (
     CapExceededError,
     ContactRelation,
@@ -50,6 +56,9 @@ from .representation import (
 from . import serialize
 
 SIZE_CAP = 8
+# Levels above a structure's count of nonzero unrelated pairs repeat the
+# level below, and within SIZE_CAP that count is at most C(SIZE_CAP - 1, 2).
+DEPTH_CAP = comb(SIZE_CAP - 1, 2)
 
 # A lattice on k points is a tuple ``le`` of k up-set masks: bit j of le[i]
 # means i <= j.  Index 0 is always the bottom.
@@ -256,23 +265,13 @@ def iso_class_key(cs: ContactStructure) -> str:
 
 @dataclass(frozen=True)
 class CorpusRecord:
-    """One isomorphism class.  Its full profile and representability, at the
-    depths in ``provenance``, are computed when first read."""
+    """One isomorphism class with its full profile and representability, at
+    the depth in ``provenance``."""
 
     key: str
     structure: ContactStructure
+    profile: AxiomProfile
     provenance: dict[str, int]
-
-    @cached_property
-    def profile(self) -> AxiomProfile:
-        cs, depths = self.structure, self.provenance
-        return replace(
-            profile_of(cs, d1_plus_max=depths["d1_plus_max"], d2_max=depths["d2_max"]),
-            weak_representable=isinstance(decide_weak_representable(cs), Representation),
-            overlap_representable=isinstance(
-                decide_overlap_representable(cs), Representation
-            ),
-        )
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -294,13 +293,12 @@ def _relabelling(p: list[int]) -> tuple[list[int], list[int]]:
     return _inverse(p), table
 
 
-_Job = tuple[FiniteJoinSemilattice, dict[str, int]]  # a lattice and the provenance
-
-
-def _classify_lattice(args: _Job) -> list[CorpusRecord]:
+def _classify_lattice(
+    lattice: FiniteJoinSemilattice, depth: int, provenance: dict[str, int]
+) -> list[CorpusRecord]:
     """One record per Aut(L) orbit of contacts on the lattice L, keyed and
-    ordered by its first contact (see the module docstring)."""
-    lattice, provenance = args
+    ordered by its first contact (see the module docstring) and profiled to
+    ``depth``."""
     relabellings = [_relabelling(p) for p in _automorphisms(lattice)]
     records = []
     seen: set[tuple[int, ...]] = set()
@@ -315,60 +313,54 @@ def _classify_lattice(args: _Job) -> list[CorpusRecord]:
             for inverse, table in relabellings
         )
         cs = ContactStructure(lattice, contact)
-        records.append(CorpusRecord(iso_class_key(cs), cs, provenance))
+        profile = replace(
+            profile_of(cs, depth),
+            weak_representable=isinstance(decide_weak_representable(cs), Representation),
+            overlap_representable=isinstance(
+                decide_overlap_representable(cs), Representation
+            ),
+        )
+        records.append(CorpusRecord(iso_class_key(cs), cs, profile, provenance))
     return records
 
 
-def _profiled(args: _Job) -> list[CorpusRecord]:
-    """A worker's share, with the profiles computed in the worker."""
-    records = _classify_lattice(args)
-    for record in records:
-        record.profile  # cached on the record, so pickled with it
-    return records
-
-
-def classify_corpus(
-    max_size: int,
-    d1_plus_max: int = 3,
-    d2_max: int = 3,
-    threads: int = 1,
-) -> list[CorpusRecord]:
-    """Every class up to max_size; order is deterministic (by carrier size,
-    then isomorphism key) and independent of threads.  With one thread the
-    profiles are computed as they are read; with more, by the workers."""
-    provenance = {"max_size": max_size, "d1_plus_max": d1_plus_max, "d2_max": d2_max}
-    jobs = [(lat, provenance) for lat in enumerate_semilattices(max_size)]
+def classify_corpus(max_size: int, depth: int = 3, threads: int = 1) -> list[CorpusRecord]:
+    """Every class up to max_size, profiled to ``depth``; order is
+    deterministic (by carrier size, then isomorphism key) and independent of
+    threads.  One function classifies and profiles each lattice, in this
+    process or in a worker."""
+    if depth > DEPTH_CAP:
+        raise CapExceededError(f"depth {depth} exceeds corpus depth cap {DEPTH_CAP}")
+    provenance = {"max_size": max_size, "d1_plus_max": depth, "d2_max": depth}
+    lattices = list(enumerate_semilattices(max_size))
+    classify = partial(_classify_lattice, depth=depth, provenance=provenance)
     # A forked pool starts every worker at once, so ask for no more workers
     # than there are lattices or CPUs.
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    workers = min(threads, len(lattices), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: the pool machinery is a third of the package's
         # import time, and only a multi-process run uses it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_profiled, jobs))
+            chunks = list(pool.map(classify, lattices))
     else:
-        chunks = [_classify_lattice(job) for job in jobs]
+        chunks = map(classify, lattices)
     records = [record for chunk in chunks for record in chunk]
     records.sort(key=lambda r: (r.structure.size, r.key))
     return records
 
 
 def find_minimal_separators(max_size: int, n: int) -> list[CorpusRecord]:
-    """Smallest-carrier structures passing d1 and every d2 level below n but
-    failing level n.  Empty means no separator exists up to max_size.  Each
-    class is screened on d1 and d2 up to level n; only the hits are then
-    profiled in full."""
+    """Smallest-carrier classes passing d1 whose least failing d2 level is n,
+    read off the corpus profiled to depth n.  Empty means no separator exists
+    up to max_size."""
     if n < 2:
         raise ValueError(f"separation level must be at least 2, got {n}")
-    records = classify_corpus(max_size, d1_plus_max=1, d2_max=n)
     hits = [
         r
-        for r in records
-        if check_d1(r.structure).passed
-        and check_d2(r.structure, n - 1).passed
-        and not check_d2(r.structure, n).passed
+        for r in classify_corpus(max_size, depth=n)
+        if r.profile.d1 and r.profile.d2[n - 2] and not r.profile.d2[n - 1]
     ]
     if not hits:
         return []

@@ -155,7 +155,7 @@ def test_A5_ambient_extension_facts():
 def test_A6_corpus_implications():
     with criterion("A6", 600.0, "corpus to size 6 at depth 3: zero violations"):
         for max_size in (5, 6):  # 5 is the requirement, 6 the stretch
-            records = classify_corpus(max_size, d1_plus_max=3, d2_max=3)
+            records = classify_corpus(max_size, depth=3)
             report = corpus_implications(records)
             for item in report:
                 assert item["violations"] == [], (
@@ -200,7 +200,7 @@ def test_A7_minimal_extension_exhaustive():
 
 def test_A8_oracle_agreements():
     with criterion("A8", 600.0, "column vs brute-force and bucketed vs naive d2"):
-        records = classify_corpus(5, d1_plus_max=3, d2_max=3)
+        records = classify_corpus(5, depth=3)
         for record in records:
             cs = record.structure
             for mode, decide in (

@@ -379,7 +379,7 @@ def test_d2_minus_witness_revalidates_when_failing():
 
 
 def test_profile_of_separator(sep2):
-    profile = profile_of(sep2.structure, d1_plus_max=2, d2_max=2)
+    profile = profile_of(sep2.structure, 2)
     assert profile.weak_contact
     assert profile.d1
     assert profile.d1_plus == (True, True)
@@ -408,20 +408,22 @@ def test_profile_of_two_element_chain():
 
 def test_profile_levels_beyond_pair_count_pass(ps2):
     # one non-contact pair, no violation at level 1: all levels pass
-    profile = profile_of(ps2, d2_max=4)
+    profile = profile_of(ps2, 4)
     assert profile.d2 == (True, True, True, True)
 
 
-def test_profile_d1_agrees_with_check_d1_on_every_contact_to_size_six():
+def test_profile_d1_agrees_with_check_d1_on_every_contact_to_size_six(ps2):
     # profile_of reads d1 off its own d1+ scan, whatever its depth
+    with pytest.raises(ValueError):
+        profile_of(ps2, 0)
     failing = 0
     for lattice in enumerate_semilattices(6):
         for relation in enumerate_contacts(lattice):
             cs = ContactStructure(lattice, relation)
             d1 = check_d1(cs).passed
             failing += not d1
-            for depth in (0, 1, 3):
-                assert profile_of(cs, d1_plus_max=depth).d1 == d1
+            for depth in (1, 3):
+                assert profile_of(cs, depth).d1 == d1
     assert failing
 
 

@@ -217,6 +217,40 @@ def test_corpus_independent_of_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_enumerate_depth_bounded_by_pair_count_cap(tmp_path, capsys):
+    # No carrier within the size cap has more than C(7, 2) = 21 nonzero
+    # unrelated pairs, and deeper levels only repeat the level below.
+    argv = ["enumerate", "--max-size", "2", "--out", str(tmp_path / "deep")]
+    _assert_input_error(argv + ["--depth", "22"], capsys)
+    assert main(argv + ["--depth", "21"]) == 0
+    header = (tmp_path / "deep" / "summary.csv").read_text().splitlines()[0]
+    assert header.split(",")[-5] == "d2_21"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sn", "--n", "2"],
+        ["check", "S2", "d1"],
+        ["represent", "S2", "--mode", "weak"],
+        ["enumerate", "--max-size", "2"],
+        ["export-dot", "S2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_a_usage_error(argv, s2_file, tmp_path, capsys):
+    # enumerate's --out is an existing file, which mkdir refuses; the other
+    # targets sit in a directory that does not exist.
+    existing = tmp_path / "file"
+    existing.write_text("")
+    out = existing if argv[0] == "enumerate" else tmp_path / "no" / "such" / "x.json"
+    argv = [s2_file if arg == "S2" else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_enumerate_threads_deterministic(tmp_path):
     single = tmp_path / "one"
     double = tmp_path / "two"

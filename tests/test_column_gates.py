@@ -40,7 +40,8 @@ def outcomes(cs):
         [_strip(v) for v in verdicts],
         axioms._first_d1plus_violation(cs, bound)[:2],
         axioms.profile_of(cs).to_json(),
-        axioms.profile_of(cs, d1_plus_max=1, d2_max=5).to_json(),
+        axioms.profile_of(cs, 1).to_json(),
+        axioms.profile_of(cs, 5).to_json(),
     )
 
 

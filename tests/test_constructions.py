@@ -112,7 +112,7 @@ def test_every_nonzero_element_dominates_a_designated_one(sep3):
 
 
 def test_separator_profile_matches_expectations(sep2):
-    profile = profile_of(sep2.structure, d1_plus_max=2, d2_max=2)
+    profile = profile_of(sep2.structure, 2)
     assert profile.d1 and profile.d2 == (True, False)
 
 

@@ -8,6 +8,7 @@ import pytest
 from contactlab import enumeration
 from contactlab.axioms import (
     check_d1,
+    check_d1_plus,
     check_d2,
     check_weak_contact,
     revalidate_witness,
@@ -314,7 +315,7 @@ def test_orbit_dedupe_matches_key_dedupe():
     provenance = {"max_size": 7, "d1_plus_max": 1, "d2_max": 1}
     classes = 0
     for lattice in enumerate_semilattices(7):
-        records = _classify_lattice((lattice, provenance))
+        records = _classify_lattice(lattice, 1, provenance)
         got = [(r.structure.contact.rows, r.key) for r in records]
         assert got == key_dedupe(lattice)
         classes += len(got)
@@ -343,7 +344,7 @@ def test_classes_on_m_k_are_unlabelled_graphs(k, graphs):
     # The contacts on M_k are the graphs on its k atoms, so its classes are
     # the unlabelled graphs on k vertices (OEIS A000088).
     provenance = {"max_size": k + 2, "d1_plus_max": 1, "d2_max": 1}
-    assert len(_classify_lattice((m_k(k), provenance))) == graphs
+    assert len(_classify_lattice(m_k(k), 1, provenance)) == graphs
 
 
 def test_iso_key_separates_structures(ps2):
@@ -362,15 +363,22 @@ def test_classify_corpus_deterministic_and_thread_independent():
 
 
 def test_corpus_profiles_revalidate():
-    for record in classify_corpus(4):
-        cs = record.structure
-        for level, passed in enumerate(record.profile.d2, start=1):
-            verdict = check_d2(cs, level)
-            assert verdict.passed == passed
-            if not passed:
-                assert revalidate_witness(
-                    cs, "d2", {"n": level}, verdict.witness
-                )
+    # Every flag find_minimal_separators reads agrees with its checker on a
+    # structure no search has run on yet, whichever process profiled it.
+    for threads in (1, 2):
+        for record in classify_corpus(5, threads=threads):
+            cs = ContactStructure(record.structure.lattice, record.structure.contact)
+            profile = record.profile
+            assert profile.d1 == check_d1(cs).passed
+            for level, passed in enumerate(profile.d1_plus, start=1):
+                assert check_d1_plus(cs, level).passed == passed
+            for level, passed in enumerate(profile.d2, start=1):
+                verdict = check_d2(cs, level)
+                assert verdict.passed == passed
+                if not passed:
+                    assert revalidate_witness(
+                        cs, "d2", {"n": level}, verdict.witness
+                    )
 
 
 def test_corpus_implications_all_hold_size5():

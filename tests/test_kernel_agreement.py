@@ -38,7 +38,7 @@ def d2_outcomes(cs, levels=(1, 2, 3)):
     verdicts = [axioms.check_d2(cs, n) for n in levels] + [axioms.decide_d2_all(cs)]
     return (
         [_strip(v) for v in verdicts],
-        axioms.profile_of(cs, d1_plus_max=1, d2_max=max(levels)).to_json(),
+        axioms.profile_of(cs, max(levels)).to_json(),
     )
 
 
