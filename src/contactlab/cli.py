@@ -43,7 +43,7 @@ from .certificates import (
 )
 from .constructions import ConstructionError, build_separator
 from .core import CapExceededError
-from .enumeration import classify_corpus, corpus_implications
+from .enumeration import check_corpus_caps, classify_corpus, corpus_implications
 from .serialize import (
     SchemaError,
     canonical_dumps,
@@ -195,6 +195,7 @@ def cmd_represent(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.max_size < 1:
         return _usage_error("--max-size must be at least 1")
+    check_corpus_caps(args.max_size, args.depth)
     out_dir = Path(args.out)
     with _writing(args.out):
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 Bits = int  # subset of a ground set; bit k <-> ground point k
 
@@ -175,6 +175,11 @@ class FiniteJoinSemilattice:
 
     def __repr__(self) -> str:
         return f"FiniteJoinSemilattice(width={self.width}, size={self.size})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # By the defining fields: the order masks and other caches are
+        # rebuilt where they are read, not shipped between processes.
+        return FiniteJoinSemilattice.from_closed_carrier, (self.width, self.carrier)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -362,6 +367,9 @@ class ContactRelation:
             if row >> self.size:
                 raise ValueError(f"row {i} has bits beyond the {self.size} indices")
 
+    def __reduce__(self) -> tuple[Any, ...]:
+        return ContactRelation, (self.size, self.rows)
+
     def related(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
 
@@ -427,6 +435,10 @@ class ContactStructure:
                 f"contact on {self.contact.size} indices does not match "
                 f"carrier of size {self.lattice.size}"
             )
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # By the defining fields, without the search caches and levels.
+        return ContactStructure, (self.lattice, self.contact)
 
     @property
     def size(self) -> int:

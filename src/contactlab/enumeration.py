@@ -14,14 +14,27 @@ One canonical form covers lattices and contact structures alike: the least
 relabelling of the up-set masks (and of the contact rows) over permutations
 that fix the bottom and respect cheap isomorphism invariants.  Contacts on a
 fixed carrier are exactly the overlap relation plus an up-closed set of
-non-overlapping pairs, so they are enumerated by filtering pair subsets.
+non-overlapping pairs.  The pairs are numbered in a linear extension of the
+order, so every pair that dominates another has a higher number, and the
+up-sets are walked deciding the highest pair first and excluding before
+including: every leaf is an up-set, and the leaves come in ascending mask
+order, the order a filter over all pair subsets would keep.
 
 The lattices are pairwise non-isomorphic, so two contacts are isomorphic
 only if they sit on the same lattice L and an automorphism of L maps one
-onto the other.  Aut(L) is computed once per lattice; the first contact of
-each orbit stands for its class, its orbit is marked seen, and only it is
-keyed by the canonical form.  Up to size 8 that keys the 6,419 classes,
-not the 54,888 contacts.
+onto the other.  One pass per lattice over the permutations P0 within
+groups of equal (up-count, down-count) gives Aut(L) and the distinct
+relabelled orders O, ascending, each with one permutation p_O.  Every p in
+P0 is p_O . a for exactly one a in Aut(L), O = p(L).  The first contact of
+each orbit stands for its class, and its orbit is marked seen.  The key's
+permutations P, within groups of equal (up-count, down-count, row-count),
+are those of P0 that also put each row count where the sorted counts go,
+since sorting by the triple refines sorting by the pair.  So p_O . a lies in
+P iff p_O respects the row counts of the orbit member a(c), and the least
+(order, contact) pair over P is the least O that some member fits, with the
+least p_O-relabelled member that fits it.  Up to size 8, 300 lattices and
+6,419 classes, the corpus makes 6,099 order relabellings (lattice growth
+included), where a search per class made 59,526.
 
 A class is profiled where it is found: ``profile_of`` to one depth plus both
 representation deciders, lattice by lattice, in the calling process or in a
@@ -37,7 +50,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import permutations, product
 from math import comb
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .axioms import AxiomProfile, profile_of
 from .core import (
@@ -59,6 +72,8 @@ SIZE_CAP = 8
 # Levels above a structure's count of nonzero unrelated pairs repeat the
 # level below, and within SIZE_CAP that count is at most C(SIZE_CAP - 1, 2).
 DEPTH_CAP = comb(SIZE_CAP - 1, 2)
+
+Relabel = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 # A lattice on k points is a tuple ``le`` of k up-set masks: bit j of le[i]
 # means i <= j.  Index 0 is always the bottom.
@@ -113,17 +128,39 @@ def _inverse(p: list[int]) -> list[int]:
     return inverse
 
 
+def _order_counts(lattice: FiniteJoinSemilattice) -> list[tuple[int, int]]:
+    up, down = lattice.leq_masks, lattice.below_masks
+    return [(up[i].bit_count(), down[i].bit_count()) for i in range(lattice.size)]
+
+
+def _relabellings(
+    up: tuple[int, ...], invariants: list[Any]
+) -> tuple[list[list[int]], list[tuple[tuple[int, ...], list[int]]]]:
+    """One pass over the class-respecting permutations of the order ``up``.
+
+    Returns the non-identity automorphisms among them, each a permutation
+    followed by the inverse of the first (it maps ``up`` to what the first
+    one does), and the distinct relabelled orders, ascending, each with the
+    first permutation that gives it."""
+    perms = _class_respecting_perms(invariants)
+    first = next(perms)
+    back = _inverse(first)
+    fixed = _apply_perm(up, first)
+    orders = {fixed: first}
+    automorphisms = []
+    for p in perms:
+        order = _apply_perm(up, p)
+        if order == fixed:
+            automorphisms.append([back[new] for new in p])
+        elif order not in orders:
+            orders[order] = p
+    return automorphisms, sorted(orders.items())
+
+
 def _automorphisms(lattice: FiniteJoinSemilattice) -> list[list[int]]:
     """The non-identity automorphisms of the lattice: the permutations within
-    groups of equal (up-count, down-count) that fix ``leq_masks``.  Each is
-    a class-respecting permutation followed by the inverse of the first."""
-    up, down = lattice.leq_masks, lattice.below_masks
-    perms = _class_respecting_perms(
-        [(up[i].bit_count(), down[i].bit_count()) for i in range(lattice.size)]
-    )
-    back = _inverse(next(perms))
-    within = ([back[new] for new in p] for p in perms)
-    return [q for q in within if _apply_perm(up, q) == up]
+    groups of equal (up-count, down-count) that fix ``leq_masks``."""
+    return _relabellings(lattice.leq_masks, _order_counts(lattice))[0]
 
 
 def _canonical_le(le: tuple[int, ...]) -> tuple[int, ...]:
@@ -182,14 +219,25 @@ def _realize(le: tuple[int, ...]) -> FiniteJoinSemilattice:
     return FiniteJoinSemilattice.from_closed_carrier(len(columns), carrier)
 
 
-def enumerate_semilattices(max_size: int) -> Iterator[FiniteJoinSemilattice]:
-    """One join-semilattice with 0 per isomorphism class, sizes ascending."""
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
+def _check_size_cap(max_size: int) -> None:
     if max_size > SIZE_CAP:
         raise CapExceededError(
             f"max_size {max_size} exceeds enumeration cap {SIZE_CAP}"
         )
+
+
+def check_corpus_caps(max_size: int, depth: int) -> None:
+    """Refuse a corpus past the depth or size cap, before any work."""
+    if depth > DEPTH_CAP:
+        raise CapExceededError(f"depth {depth} exceeds corpus depth cap {DEPTH_CAP}")
+    _check_size_cap(max_size)
+
+
+def enumerate_semilattices(max_size: int) -> Iterator[FiniteJoinSemilattice]:
+    """One join-semilattice with 0 per isomorphism class, sizes ascending."""
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    _check_size_cap(max_size)
     lattices: list[tuple[int, ...]] = [(1,)]
     for size in range(1, max_size + 1):
         if size > 1:
@@ -203,60 +251,98 @@ def enumerate_contacts(lattice: FiniteJoinSemilattice) -> Iterator[ContactRelati
 
     Reflexivity and monotonicity force all overlapping pairs, so a weak
     contact is the overlap relation plus an up-closed set of non-overlapping
-    pairs.  Subsets are emitted in ascending mask order, so the pure overlap
-    relation comes first and the all-pairs relation last.
+    pairs.  The sets are walked from the highest pair down, excluding before
+    including, so they come in ascending mask order: the pure overlap
+    relation first and the all-pairs relation last.
     """
     ov = overlap_contact(lattice)
     size = lattice.size
+    up = lattice.leq_masks
     optional = [
         (i, j)
         for i in range(1, size)
         for j in range(i + 1, size)
         if not ov.related(i, j)
     ]
-    dominators = []
-    for x, y in optional:
+    # Pairs are numbered in a linear extension of the order, so every pair
+    # dominating pair q other than q itself has a higher number.  A relation
+    # is packed into one int, row i at bits i * size onwards; pair (i, j)
+    # with i < j is tested at bit i * size + j and added at both of its bits.
+    at = [i * size + j for i, j in optional]
+    above = []
+    for q, (x, y) in enumerate(optional):
         mask = 0
-        for q, (x1, y1) in enumerate(optional):
-            if (lattice.leq(x, x1) and lattice.leq(y, y1)) or (
-                lattice.leq(x, y1) and lattice.leq(y, x1)
+        for r in range(q + 1, len(optional)):
+            x1, y1 = optional[r]
+            if ((up[x] >> x1) & 1 and (up[y] >> y1) & 1) or (
+                (up[x] >> y1) & 1 and (up[y] >> x1) & 1
             ):
-                mask |= 1 << q
-        dominators.append(mask)
-    for chosen in range(1 << len(optional)):
-        if any(dominators[p] & ~chosen for p in iter_bits(chosen)):
-            continue
-        rows = list(ov.rows)
-        for p in iter_bits(chosen):
-            i, j = optional[p]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        yield ContactRelation(size, tuple(rows))
+                mask |= 1 << at[r]
+        above.append(mask)
+    adds = [1 << bit | 1 << j * size + i for bit, (i, j) in zip(at, optional)]
+    shifts = range(0, size * size, size)
+    row = (1 << size) - 1
+    # A state is (pairs still undecided, relation so far).  The pairs it
+    # skips down to its next branching pair cannot join, so they stay out.
+    stack = [(len(optional), sum(r << shift for r, shift in zip(ov.rows, shifts)))]
+    while stack:
+        q, packed = stack.pop()
+        q -= 1
+        while q >= 0 and above[q] & ~packed:
+            q -= 1
+        if q >= 0:
+            stack.append((q, packed | adds[q]))
+            stack.append((q, packed))
+        else:
+            yield ContactRelation(size, tuple([packed >> shift & row for shift in shifts]))
 
 
 # ---------------------------------------------------------------------------
 # isomorphism keys
 
 
+def _orbit_key(
+    orders: list[tuple[tuple[int, ...], list[int], Relabel]],
+    orbit: list[tuple[int, ...]],
+    counts: list[tuple[int, int]],
+) -> str:
+    """The key of a contact: the least relabelled (order, contact) pair over
+    the permutations within groups of equal (up-count, down-count,
+    row-count), read off the contact's orbit under the automorphisms of
+    the pass that gave ``orders`` (relabelled order, permutation, its
+    relabelling of rows; see the module docstring).  ``counts`` holds each
+    element's (up-count, down-count)."""
+    rows = orbit[0]
+    placed = [rows[0].bit_count()] + [
+        r for _, r in sorted(zip(counts[1:], [row.bit_count() for row in rows[1:]]))
+    ]
+    fitting: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for member in orbit:
+        fitting.setdefault(tuple(map(int.bit_count, member)), []).append(member)
+    for order, p, relabel in orders:
+        members = fitting.get(tuple([placed[new] for new in p]))
+        if members:
+            enc = (order, min(map(relabel, members)))
+            return hashlib.sha256(repr(enc).encode()).hexdigest()
+    raise AssertionError("every key permutation is p_O . a, so some order fits")
+
+
 def iso_class_key(cs: ContactStructure) -> str:
     """Digest shared exactly by isomorphic contact structures: the least
-    relabelled (order, contact) pair over class-respecting permutations;
-    the contact is relabelled only where the order is no worse than the
-    least so far.  The order determines the joins, so it stands for the
-    whole lattice."""
-    up, down, rows = cs.lattice.leq_masks, cs.lattice.below_masks, cs.contact.rows
-    inv = [
-        (up[i].bit_count(), down[i].bit_count(), rows[i].bit_count())
-        for i in range(cs.size)
-    ]
-    perms = _class_respecting_perms(inv)
-    first = next(perms)
-    enc = (_apply_perm(up, first), _apply_perm(rows, first))
-    for p in perms:
-        order = _apply_perm(up, p)
-        if order <= enc[0]:
-            enc = min(enc, (order, _apply_perm(rows, p)))
-    return hashlib.sha256(repr(enc).encode()).hexdigest()
+    relabelled (order, contact) pair over class-respecting permutations.
+    The order determines the joins, so it stands for the whole lattice.
+    Its pass runs over the permutations that respect row counts too, so
+    every member of the orbit fits the least order."""
+    counts = _order_counts(cs.lattice)
+    rows = cs.contact.rows
+    automorphisms, orders = _relabellings(
+        cs.lattice.leq_masks,
+        [(u, d, row.bit_count()) for (u, d), row in zip(counts, rows)],
+    )
+    orbit = [rows] + [_apply_perm(rows, a) for a in automorphisms]
+    return _orbit_key(
+        [(order, p, partial(_apply_perm, p=p)) for order, p in orders], orbit, counts
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,35 +369,37 @@ class CorpusRecord:
         }
 
 
-def _relabelling(p: list[int]) -> tuple[list[int], list[int]]:
-    """The inverse of p and the image under p of every mask, so that
-    relabelling rows by p takes one lookup per row."""
-    table = [0] * (1 << len(p))
-    for m in range(1, len(table)):
-        low = m & -m
-        table[m] = table[m ^ low] | 1 << p[low.bit_length() - 1]
-    return _inverse(p), table
+def _relabelling(p: list[int]) -> Relabel:
+    """Relabelling of rows by p with one lookup per row, in a table of the
+    image under p of every mask."""
+    inverse = _inverse(p)
+    table = [0]
+    for new in p:
+        bit = 1 << new
+        table += [image | bit for image in table]
+    # tuple() of a list allocates exactly; of a generator it can keep the
+    # spare room it grew, and the seen set holds every orbit member.
+    return lambda rows: tuple([table[rows[i]] for i in inverse])
 
 
 def _classify_lattice(
     lattice: FiniteJoinSemilattice, depth: int, provenance: dict[str, int]
 ) -> list[CorpusRecord]:
-    """One record per Aut(L) orbit of contacts on the lattice L, keyed and
-    ordered by its first contact (see the module docstring) and profiled to
-    ``depth``."""
-    relabellings = [_relabelling(p) for p in _automorphisms(lattice)]
+    """One record per Aut(L) orbit of contacts on the lattice L, keyed off
+    its orbit and ordered by its first contact (see the module docstring),
+    and profiled to ``depth``."""
+    counts = _order_counts(lattice)
+    automorphisms, orders = _relabellings(lattice.leq_masks, counts)
+    symmetries = [_relabelling(a) for a in automorphisms]
+    relabelled = [(order, p, _relabelling(p)) for order, p in orders]
     records = []
     seen: set[tuple[int, ...]] = set()
     for contact in enumerate_contacts(lattice):
         rows = contact.rows
         if rows in seen:
             continue
-        # tuple() of a list allocates exactly; of a generator it can keep
-        # the spare room it grew, and the seen set holds every orbit member.
-        seen.update(
-            tuple([table[rows[i]] for i in inverse])
-            for inverse, table in relabellings
-        )
+        orbit = [rows] + [relabel(rows) for relabel in symmetries]
+        seen.update(orbit)
         cs = ContactStructure(lattice, contact)
         profile = replace(
             profile_of(cs, depth),
@@ -320,7 +408,8 @@ def _classify_lattice(
                 decide_overlap_representable(cs), Representation
             ),
         )
-        records.append(CorpusRecord(iso_class_key(cs), cs, profile, provenance))
+        key = _orbit_key(relabelled, orbit, counts)
+        records.append(CorpusRecord(key, cs, profile, provenance))
     return records
 
 
@@ -329,8 +418,7 @@ def classify_corpus(max_size: int, depth: int = 3, threads: int = 1) -> list[Cor
     deterministic (by carrier size, then isomorphism key) and independent of
     threads.  One function classifies and profiles each lattice, in this
     process or in a worker."""
-    if depth > DEPTH_CAP:
-        raise CapExceededError(f"depth {depth} exceeds corpus depth cap {DEPTH_CAP}")
+    check_corpus_caps(max_size, depth)
     provenance = {"max_size": max_size, "d1_plus_max": depth, "d2_max": depth}
     lattices = list(enumerate_semilattices(max_size))
     classify = partial(_classify_lattice, depth=depth, provenance=provenance)
@@ -375,6 +463,14 @@ def corpus_implications(records: list[CorpusRecord]) -> list[dict[str, Any]]:
     on a valid corpus is a finding about the deciders or the theory and
     fails the run.
     """
+    overlap_rows: dict[FiniteJoinSemilattice, tuple[int, ...]] = {}
+
+    def has_overlap_contact(r: CorpusRecord) -> bool:
+        lattice = r.structure.lattice
+        if lattice not in overlap_rows:
+            overlap_rows[lattice] = overlap_contact(lattice).rows
+        return r.structure.contact.rows == overlap_rows[lattice]
+
     checks = [
         (
             "d1-implies-d1plus",
@@ -386,7 +482,7 @@ def corpus_implications(records: list[CorpusRecord]) -> list[dict[str, Any]]:
         ),
         (
             "overlap-and-d1-implies-d2all-and-add",
-            lambda r: (not (_has_overlap_contact(r) and r.profile.d1))
+            lambda r: (not (has_overlap_contact(r) and r.profile.d1))
             or (r.profile.d2_all and r.profile.additive),
         ),
         (
@@ -407,9 +503,3 @@ def corpus_implications(records: list[CorpusRecord]) -> list[dict[str, Any]]:
         )
     return report
 
-
-def _has_overlap_contact(record: CorpusRecord) -> bool:
-    return (
-        record.structure.contact.rows
-        == overlap_contact(record.structure.lattice).rows
-    )

@@ -70,12 +70,15 @@ from contactlab.core import (
     full_mask,
     is_subset,
     iter_bits,
+    overlap_contact,
 )
 from contactlab.enumeration import (
+    _automorphisms,
     _canonical_le,
     _class_respecting_perms,
     _inverse,
     _transpose,
+    enumerate_semilattices,
 )
 from contactlab.representation import Refusal, Representation
 from contactlab.serialize import SchemaError
@@ -229,6 +232,125 @@ def iso_class_key_reference(cs: ContactStructure) -> str:
         for p in _class_respecting_perms(inv)
     )
     return hashlib.sha256(repr(enc).encode()).hexdigest()
+
+
+def contacts_by_filter(lattice: FiniteJoinSemilattice) -> list[ContactRelation]:
+    """Every weak contact on the lattice: the overlap relation plus each
+    up-closed set of non-overlapping pairs, found by filtering all subsets
+    of those pairs in ascending mask order."""
+    ov = overlap_contact(lattice)
+    size = lattice.size
+    optional = [
+        (i, j)
+        for i in range(1, size)
+        for j in range(i + 1, size)
+        if not ov.related(i, j)
+    ]
+    dominators = []
+    for x, y in optional:
+        mask = 0
+        for q, (x1, y1) in enumerate(optional):
+            if (lattice.leq(x, x1) and lattice.leq(y, y1)) or (
+                lattice.leq(x, y1) and lattice.leq(y, x1)
+            ):
+                mask |= 1 << q
+        dominators.append(mask)
+    out = []
+    for chosen in range(1 << len(optional)):
+        if any(dominators[p] & ~chosen for p in iter_bits(chosen)):
+            continue
+        rows = list(ov.rows)
+        for p in iter_bits(chosen):
+            i, j = optional[p]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        out.append(ContactRelation(size, tuple(rows)))
+    return out
+
+
+def automorphisms_by_search(lattice: FiniteJoinSemilattice) -> list[list[int]]:
+    """The non-identity permutations fixing the bottom that keep the order,
+    over all of them, in lexicographic order."""
+    k = lattice.size
+    return [
+        p
+        for p, _ in _labelled_perms(k)
+        if p != list(range(k))
+        and all(
+            lattice.leq(i, j) == lattice.leq(p[i], p[j])
+            for i in range(k)
+            for j in range(k)
+        )
+    ]
+
+
+def _count_up_sets(ups: list[int], downs: list[int]) -> int:
+    """Up-sets of a finite order given each element's up- and down-set masks
+    (both reflexive): those holding the largest available element x drop
+    its up-set, the others its down-set."""
+    memo = {0: 1}
+
+    def count(available: int) -> int:
+        if available not in memo:
+            x = available.bit_length() - 1
+            memo[available] = count(available & ~ups[x]) + count(available & ~downs[x])
+        return memo[available]
+
+    return count((1 << len(ups)) - 1)
+
+
+def burnside_class_counts(max_size: int) -> list[int]:
+    """Contact classes on each lattice of ``enumerate_semilattices``, by the
+    Cauchy-Frobenius lemma: (1/|Aut L|) times the sum over g in Aut L of
+    the contacts g fixes.  A fixed contact is an up-set of non-overlapping
+    pairs that is a union of g-orbits of pairs, so it is an up-set of the
+    quotient order on those orbits (one orbit lies below another if some
+    member does, which is transitive since g keeps the order).  No contact
+    is listed and none is keyed."""
+    counts = []
+    for lattice in enumerate_semilattices(max_size):
+        ov = overlap_contact(lattice)
+        size = lattice.size
+        optional = [
+            (i, j)
+            for i in range(1, size)
+            for j in range(i + 1, size)
+            if not ov.related(i, j)
+        ]
+        number = {pair: q for q, pair in enumerate(optional)}
+        below = [
+            [
+                (lattice.leq(x, x1) and lattice.leq(y, y1))
+                or (lattice.leq(x, y1) and lattice.leq(y, x1))
+                for x1, y1 in optional
+            ]
+            for x, y in optional
+        ]
+        group = [list(range(size))] + _automorphisms(lattice)
+        fixed = 0
+        for g in group:
+            orbit_of = [-1] * len(optional)
+            orbits = 0
+            for start in range(len(optional)):
+                if orbit_of[start] >= 0:
+                    continue
+                q = start
+                while orbit_of[q] < 0:
+                    orbit_of[q] = orbits
+                    x, y = optional[q]
+                    q = number[min(g[x], g[y]), max(g[x], g[y])]
+                orbits += 1
+            ups, downs = [0] * orbits, [0] * orbits
+            for a, row in enumerate(below):
+                for b, dominated in enumerate(row):
+                    if dominated:
+                        ups[orbit_of[a]] |= 1 << orbit_of[b]
+                        downs[orbit_of[b]] |= 1 << orbit_of[a]
+            fixed += _count_up_sets(ups, downs)
+        if fixed % len(group):
+            raise AssertionError("Burnside sum must divide by the group order")
+        counts.append(fixed // len(group))
+    return counts
 
 
 def _labelled_perms(k: int):

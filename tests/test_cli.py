@@ -228,6 +228,15 @@ def test_enumerate_depth_bounded_by_pair_count_cap(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "caps", [["--max-size", "9"], ["--max-size", "2", "--depth", "22"]]
+)
+def test_enumerate_past_a_cap_writes_nothing(tmp_path, capsys, caps):
+    out = tmp_path / "d"
+    _assert_input_error(["enumerate", *caps, "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sn", "--n", "2"],

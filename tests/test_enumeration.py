@@ -1,6 +1,8 @@
 """Enumeration: class counts, contact generation, iso keys, corpus findings."""
 
 import hashlib
+import pickle
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -37,7 +39,10 @@ from contactlab.enumeration import (
 )
 from scan_oracles import (
     apply_perm_reference,
+    automorphisms_by_search,
+    burnside_class_counts,
     check_d2_naive,
+    contacts_by_filter,
     count_semilattice_tables,
     iso_class_key_reference,
     lattices_by_poset_growth,
@@ -232,6 +237,17 @@ def test_contacts_all_distinct_and_valid_size5():
             assert check_weak_contact(ContactStructure(lattice, rel)).passed
 
 
+def test_upset_walk_matches_subset_filter_to_size_eight():
+    # Same contacts in the same ascending mask order as filtering every
+    # subset of the non-overlapping pairs.
+    contacts = 0
+    for lattice in enumerate_semilattices(8):
+        walked = list(enumerate_contacts(lattice))
+        assert walked == contacts_by_filter(lattice)
+        contacts += len(walked)
+    assert contacts == 54888
+
+
 def test_all_pairs_relation_emitted_last():
     for lattice in enumerate_semilattices(4):
         contacts = list(enumerate_contacts(lattice))
@@ -309,6 +325,43 @@ def test_automorphisms_match_per_bit_relabelling(monkeypatch):
     assert got == [_automorphisms(lattice) for lattice in lattices]
 
 
+def test_automorphisms_match_search_over_all_permutations():
+    lattices = list(enumerate_semilattices(7))
+    assert len(lattices) == 78
+    for lattice in lattices:
+        assert sorted(_automorphisms(lattice)) == automorphisms_by_search(lattice)
+
+
+@pytest.fixture(scope="module")
+def chunks_to_eight():
+    """Each lattice up to size 8 with its corpus records at depth 1."""
+    provenance = {"max_size": 8, "d1_plus_max": 1, "d2_max": 1}
+    return [
+        (lattice, _classify_lattice(lattice, 1, provenance))
+        for lattice in enumerate_semilattices(8)
+    ]
+
+
+def test_burnside_counts_match_the_corpus_per_lattice(chunks_to_eight):
+    # Classes counted from Aut(L) alone, with no dedupe and no key.
+    counts = burnside_class_counts(8)
+    assert counts == [len(records) for _, records in chunks_to_eight]
+    by_size = Counter()
+    for (lattice, _), count in zip(chunks_to_eight, counts, strict=True):
+        by_size[lattice.size] += count
+    assert [by_size[size] for size in range(1, 9)] == [1, 1, 1, 3, 11, 61, 480, 5861]
+
+
+@pytest.mark.slow
+def test_orbit_keys_match_one_stage_reference_to_size_eight(chunks_to_eight):
+    classes = 0
+    for _, records in chunks_to_eight:
+        for record in records:
+            assert record.key == iso_class_key_reference(record.structure)
+        classes += len(records)
+    assert classes == 6419
+
+
 def test_orbit_dedupe_matches_key_dedupe():
     # Same representatives, keys and order as keying every contact, on every
     # lattice up to size 7.
@@ -360,6 +413,26 @@ def test_classify_corpus_deterministic_and_thread_independent():
     threaded = classify_corpus(4, threads=2)
     assert [r.key for r in single] == [r.key for r in threaded]
     assert [r.profile for r in single] == [r.profile for r in threaded]
+
+
+def test_worker_chunks_pickle_without_search_caches():
+    # What a worker sends back per lattice: records whose structures carry
+    # their defining fields only.  152,602 bytes is the size to carrier 7
+    # with every cached search result stripped by hand.
+    provenance = {"max_size": 7, "d1_plus_max": 3, "d2_max": 3}
+    total = 0
+    for lattice in enumerate_semilattices(7):
+        chunk = _classify_lattice(lattice, 3, provenance)
+        data = pickle.dumps(chunk)
+        total += len(data)
+        for record, copy in zip(chunk, pickle.loads(data), strict=True):
+            cs = copy.structure
+            assert cs == record.structure and copy.key == record.key
+            assert cs.d1plus_holds_to == cs.d2_holds_to == 0
+            assert not {"canonical_images", "column_domains"} & set(vars(cs))
+            assert not {"leq_masks", "below_masks"} & set(vars(cs.lattice))
+        assert len({id(copy.structure.lattice) for copy in pickle.loads(data)}) <= 1
+    assert total <= 152_602
 
 
 def test_corpus_profiles_revalidate():
