@@ -11,30 +11,24 @@ realized as union-closed set families through the canonical filter embedding
 ``a -> {m : a not below m}`` over the non-maximum carrier elements.
 
 One canonical form covers lattices and contact structures alike: the least
-relabelling of the up-set masks (and of the contact rows) over permutations
-that fix the bottom and respect cheap isomorphism invariants.  Contacts on a
-fixed carrier are exactly the overlap relation plus an up-closed set of
-non-overlapping pairs.  The pairs are numbered in a linear extension of the
-order, so every pair that dominates another has a higher number, and the
-up-sets are walked deciding the highest pair first and excluding before
-including: every leaf is an up-set, and the leaves come in ascending mask
-order, the order a filter over all pair subsets would keep.
+relabelling of the up-set masks, then of the contact rows, over the
+permutations P that fix the bottom and permute only within groups of equal
+(up-count, down-count).  Contacts on a fixed carrier are exactly the overlap
+relation plus an up-closed set of non-overlapping pairs.  The pairs are
+numbered in a linear extension of the order, so every pair that dominates
+another has a higher number, and the up-sets are walked deciding the highest
+pair first and excluding before including: every leaf is an up-set, and the
+leaves come in ascending mask order, the order a filter over all pair
+subsets would keep.
 
 The lattices are pairwise non-isomorphic, so two contacts are isomorphic
 only if they sit on the same lattice L and an automorphism of L maps one
-onto the other.  One pass per lattice over the permutations P0 within
-groups of equal (up-count, down-count) gives Aut(L) and the distinct
-relabelled orders O, ascending, each with one permutation p_O.  Every p in
-P0 is p_O . a for exactly one a in Aut(L), O = p(L).  The first contact of
-each orbit stands for its class, and its orbit is marked seen.  The key's
-permutations P, within groups of equal (up-count, down-count, row-count),
-are those of P0 that also put each row count where the sorted counts go,
-since sorting by the triple refines sorting by the pair.  So p_O . a lies in
-P iff p_O respects the row counts of the orbit member a(c), and the least
-(order, contact) pair over P is the least O that some member fits, with the
-least p_O-relabelled member that fits it.  Up to size 8, 300 lattices and
-6,419 classes, the corpus makes 6,099 order relabellings (lattice growth
-included), where a search per class made 59,526.
+onto the other.  One pass per lattice over P gives Aut(L), the least
+relabelled order O* and one permutation p* giving it.  The permutations of
+P giving O* are exactly p* . a for a in Aut(L), so the least (order,
+contact) pair over P is O* with the least p*-relabelled member of the
+contact's Aut(L)-orbit.  The first contact of each orbit stands for its
+class, and its orbit is marked seen and keyed.
 
 A class is profiled where it is found: ``profile_of`` to one depth plus both
 representation deciders, lattice by lattice, in the calling process or in a
@@ -50,7 +44,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import permutations, product
 from math import comb
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .axioms import AxiomProfile, profile_of
 from .core import (
@@ -72,8 +66,6 @@ SIZE_CAP = 8
 # Levels above a structure's count of nonzero unrelated pairs repeat the
 # level below, and within SIZE_CAP that count is at most C(SIZE_CAP - 1, 2).
 DEPTH_CAP = comb(SIZE_CAP - 1, 2)
-
-Relabel = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 # A lattice on k points is a tuple ``le`` of k up-set masks: bit j of le[i]
 # means i <= j.  Index 0 is always the bottom.
@@ -128,47 +120,42 @@ def _inverse(p: list[int]) -> list[int]:
     return inverse
 
 
-def _order_counts(lattice: FiniteJoinSemilattice) -> list[tuple[int, int]]:
-    up, down = lattice.leq_masks, lattice.below_masks
-    return [(up[i].bit_count(), down[i].bit_count()) for i in range(lattice.size)]
+def _least_relabelling(
+    up: tuple[int, ...],
+) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
+    """One pass over the permutations of the order ``up`` that fix 0 and
+    permute only within groups of equal (up-count, down-count).
 
-
-def _relabellings(
-    up: tuple[int, ...], invariants: list[Any]
-) -> tuple[list[list[int]], list[tuple[tuple[int, ...], list[int]]]]:
-    """One pass over the class-respecting permutations of the order ``up``.
-
-    Returns the non-identity automorphisms among them, each a permutation
-    followed by the inverse of the first (it maps ``up`` to what the first
-    one does), and the distinct relabelled orders, ascending, each with the
-    first permutation that gives it."""
-    perms = _class_respecting_perms(invariants)
+    Returns the least relabelled order, the first permutation giving it, and
+    the non-identity automorphisms, each a permutation followed by the
+    inverse of the first permutation of the pass (it maps ``up`` to what
+    the first one does)."""
+    down = _transpose(up)
+    perms = _class_respecting_perms(
+        [(up[i].bit_count(), down[i].bit_count()) for i in range(len(up))]
+    )
     first = next(perms)
     back = _inverse(first)
-    fixed = _apply_perm(up, first)
-    orders = {fixed: first}
+    fixed = least = _apply_perm(up, first)
+    best = first
     automorphisms = []
     for p in perms:
         order = _apply_perm(up, p)
         if order == fixed:
             automorphisms.append([back[new] for new in p])
-        elif order not in orders:
-            orders[order] = p
-    return automorphisms, sorted(orders.items())
+        elif order < least:
+            least, best = order, p
+    return least, best, automorphisms
 
 
 def _automorphisms(lattice: FiniteJoinSemilattice) -> list[list[int]]:
     """The non-identity automorphisms of the lattice: the permutations within
     groups of equal (up-count, down-count) that fix ``leq_masks``."""
-    return _relabellings(lattice.leq_masks, _order_counts(lattice))[0]
+    return _least_relabelling(lattice.leq_masks)[2]
 
 
 def _canonical_le(le: tuple[int, ...]) -> tuple[int, ...]:
-    if len(le) == 1:
-        return le
-    down = _transpose(le)
-    inv = [(le[i].bit_count(), down[i].bit_count()) for i in range(len(le))]
-    return min(_apply_perm(le, p) for p in _class_respecting_perms(inv))
+    return _least_relabelling(le)[0]
 
 
 def _extend_lattices(lattices: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -301,48 +288,22 @@ def enumerate_contacts(lattice: FiniteJoinSemilattice) -> Iterator[ContactRelati
 # isomorphism keys
 
 
-def _orbit_key(
-    orders: list[tuple[tuple[int, ...], list[int], Relabel]],
-    orbit: list[tuple[int, ...]],
-    counts: list[tuple[int, int]],
-) -> str:
-    """The key of a contact: the least relabelled (order, contact) pair over
-    the permutations within groups of equal (up-count, down-count,
-    row-count), read off the contact's orbit under the automorphisms of
-    the pass that gave ``orders`` (relabelled order, permutation, its
-    relabelling of rows; see the module docstring).  ``counts`` holds each
-    element's (up-count, down-count)."""
-    rows = orbit[0]
-    placed = [rows[0].bit_count()] + [
-        r for _, r in sorted(zip(counts[1:], [row.bit_count() for row in rows[1:]]))
-    ]
-    fitting: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for member in orbit:
-        fitting.setdefault(tuple(map(int.bit_count, member)), []).append(member)
-    for order, p, relabel in orders:
-        members = fitting.get(tuple([placed[new] for new in p]))
-        if members:
-            enc = (order, min(map(relabel, members)))
-            return hashlib.sha256(repr(enc).encode()).hexdigest()
-    raise AssertionError("every key permutation is p_O . a, so some order fits")
+def _class_key(least: tuple[int, ...], relabelled: Iterable[tuple[int, ...]]) -> str:
+    """Digest of the lattice's least order and the least relabelled contact
+    of an orbit, each member relabelled by a permutation giving that order."""
+    return hashlib.sha256(repr((least, min(relabelled))).encode()).hexdigest()
 
 
 def iso_class_key(cs: ContactStructure) -> str:
     """Digest shared exactly by isomorphic contact structures: the least
-    relabelled (order, contact) pair over class-respecting permutations.
-    The order determines the joins, so it stands for the whole lattice.
-    Its pass runs over the permutations that respect row counts too, so
-    every member of the orbit fits the least order."""
-    counts = _order_counts(cs.lattice)
+    relabelled (order, contact) pair over the permutations that fix 0
+    within groups of equal (up-count, down-count).  The order determines
+    the joins, so it stands for the whole lattice.  Costs the lattice's
+    relabelling pass plus one relabelling per automorphism."""
+    least, best, automorphisms = _least_relabelling(cs.lattice.leq_masks)
     rows = cs.contact.rows
-    automorphisms, orders = _relabellings(
-        cs.lattice.leq_masks,
-        [(u, d, row.bit_count()) for (u, d), row in zip(counts, rows)],
-    )
     orbit = [rows] + [_apply_perm(rows, a) for a in automorphisms]
-    return _orbit_key(
-        [(order, p, partial(_apply_perm, p=p)) for order, p in orders], orbit, counts
-    )
+    return _class_key(least, (_apply_perm(member, best) for member in orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +330,7 @@ class CorpusRecord:
         }
 
 
-def _relabelling(p: list[int]) -> Relabel:
+def _relabelling(p: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """Relabelling of rows by p with one lookup per row, in a table of the
     image under p of every mask."""
     inverse = _inverse(p)
@@ -388,10 +349,9 @@ def _classify_lattice(
     """One record per Aut(L) orbit of contacts on the lattice L, keyed off
     its orbit and ordered by its first contact (see the module docstring),
     and profiled to ``depth``."""
-    counts = _order_counts(lattice)
-    automorphisms, orders = _relabellings(lattice.leq_masks, counts)
+    least, best, automorphisms = _least_relabelling(lattice.leq_masks)
     symmetries = [_relabelling(a) for a in automorphisms]
-    relabelled = [(order, p, _relabelling(p)) for order, p in orders]
+    to_least = _relabelling(best)
     records = []
     seen: set[tuple[int, ...]] = set()
     for contact in enumerate_contacts(lattice):
@@ -408,7 +368,7 @@ def _classify_lattice(
                 decide_overlap_representable(cs), Representation
             ),
         )
-        key = _orbit_key(relabelled, orbit, counts)
+        key = _class_key(least, map(to_least, orbit))
         records.append(CorpusRecord(key, cs, profile, provenance))
     return records
 

@@ -39,9 +39,12 @@ independent of the library's lattice-growth generator).
 grew them a coatom at a time: it grows every bottomed poset one maximal
 element at a time and keeps those with all binary joins; the canonical forms
 per size must be the library's.  ``iso_class_key_reference`` is the
-one-stage least (order, contact) pair over ``apply_perm_reference``, the
-per-bit relabelling, which the library's two-stage key and its automorphisms
-must match.
+least (order, contact) pair over ``apply_perm_reference``, the per-bit
+relabelling, taken as one minimum over all of the key's permutations; the
+library's key, read off one least order and the contact's orbit, and its
+automorphisms must match it.  ``automorphisms_by_search`` tries every
+permutation fixing the bottom, and ``burnside_class_counts`` counts contact
+classes from Aut(L) alone.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 
@@ -78,7 +82,6 @@ from contactlab.enumeration import (
     _class_respecting_perms,
     _inverse,
     _transpose,
-    enumerate_semilattices,
 )
 from contactlab.representation import Refusal, Representation
 from contactlab.serialize import SchemaError
@@ -221,17 +224,19 @@ def apply_perm_reference(masks: tuple[int, ...], p: list[int]) -> tuple[int, ...
 
 def iso_class_key_reference(cs: ContactStructure) -> str:
     """The least relabelled (order, contact) pair, as one minimum over the
-    class-respecting permutations."""
+    permutations fixing 0 within groups of equal (up-count, down-count).
+    The rows are relabelled only where the order is no larger than the
+    least pair so far, since only there can the pair be smaller."""
     up, down, rows = cs.lattice.leq_masks, cs.lattice.below_masks, cs.contact.rows
-    inv = [
-        (up[i].bit_count(), down[i].bit_count(), rows[i].bit_count())
-        for i in range(cs.size)
-    ]
-    enc = min(
-        (apply_perm_reference(up, p), apply_perm_reference(rows, p))
-        for p in _class_respecting_perms(inv)
-    )
-    return hashlib.sha256(repr(enc).encode()).hexdigest()
+    inv = [(up[i].bit_count(), down[i].bit_count()) for i in range(cs.size)]
+    best = None
+    for p in _class_respecting_perms(inv):
+        order = apply_perm_reference(up, p)
+        if best is None or order <= best[0]:
+            enc = (order, apply_perm_reference(rows, p))
+            if best is None or enc < best:
+                best = enc
+    return hashlib.sha256(repr(best).encode()).hexdigest()
 
 
 def contacts_by_filter(lattice: FiniteJoinSemilattice) -> list[ContactRelation]:
@@ -299,16 +304,16 @@ def _count_up_sets(ups: list[int], downs: list[int]) -> int:
     return count((1 << len(ups)) - 1)
 
 
-def burnside_class_counts(max_size: int) -> list[int]:
-    """Contact classes on each lattice of ``enumerate_semilattices``, by the
-    Cauchy-Frobenius lemma: (1/|Aut L|) times the sum over g in Aut L of
-    the contacts g fixes.  A fixed contact is an up-set of non-overlapping
-    pairs that is a union of g-orbits of pairs, so it is an up-set of the
-    quotient order on those orbits (one orbit lies below another if some
-    member does, which is transitive since g keeps the order).  No contact
-    is listed and none is keyed."""
+def burnside_class_counts(lattices: Iterable[FiniteJoinSemilattice]) -> list[int]:
+    """Contact classes on each of the lattices, by the Cauchy-Frobenius
+    lemma: (1/|Aut L|) times the sum over g in Aut L of the contacts g
+    fixes.  A fixed contact is an up-set of non-overlapping pairs that is a
+    union of g-orbits of pairs, so it is an up-set of the quotient order on
+    those orbits (one orbit lies below another if some member does, which
+    is transitive since g keeps the order).  No contact is listed and none
+    is keyed."""
     counts = []
-    for lattice in enumerate_semilattices(max_size):
+    for lattice in lattices:
         ov = overlap_contact(lattice)
         size = lattice.size
         optional = [

@@ -177,10 +177,22 @@ def test_corpus_bytes_are_pinned(tmp_path, capsys):
         for name in ("corpus.jsonl", "summary.csv", "implications.json")
     }
     assert digests == {
-        "corpus.jsonl": "9106e3ecc3e5f1ebc754d71b0808b8ada95d20645dad2f41714d6c7ff990bfcb",
-        "summary.csv": "5a0d037edb868ffdfc92321ffa3dc7a0a3b3cc01d4536230e4128fd7c83dcf70",
+        "corpus.jsonl": "68cefbf2fd124850179165b41026201eed841ad373ae8bbdfe076e4fad5f1484",
+        "summary.csv": "3fe41940bd254763a37bc424c1f4f0f35b20b7aed7f4e183b128377f76506f99",
         "implications.json": "f515c1f42cf61e893ab8eb1db6c224fc28037852ff7595af34f367bf112c1a22",
     }
+    # The records without their keys, sorted by structure: a change of key
+    # definition may move the keys and the order within each size, and
+    # nothing else.
+    lines = (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        del record["key"]
+    records.sort(key=lambda record: json.dumps(record["structure"], sort_keys=True))
+    stripped = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == (
+        "d843385b95e3bbb98696395dfbdd1ac5ea5c98012f55a85eb3851714309f7c41"
+    )
 
 
 def test_corpus_independent_of_hash_seed(tmp_path):

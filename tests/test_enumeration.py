@@ -3,15 +3,17 @@
 import hashlib
 import pickle
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
 from contactlab import enumeration
 from contactlab.axioms import (
+    check_additive,
     check_d1,
     check_d1_plus,
     check_d2,
+    check_d2_minus,
     check_weak_contact,
     revalidate_witness,
 )
@@ -36,6 +38,12 @@ from contactlab.enumeration import (
     enumerate_semilattices,
     find_minimal_separators,
     iso_class_key,
+)
+from contactlab.representation import (
+    Refusal,
+    Representation,
+    decide_overlap_representable,
+    decide_weak_representable,
 )
 from scan_oracles import (
     apply_perm_reference,
@@ -72,8 +80,8 @@ def brute_force_contacts(lattice):
 
 def join_table_encoding(cs):
     """Reference canonical form: the k x k join table, read through
-    ``lattice.join``, and the contact rows, minimized over the same
-    class-respecting relabellings as the library key."""
+    ``lattice.join``, and the contact rows, minimized over the relabellings
+    within groups of equal (up-count, down-count, row-count)."""
     lattice, rel = cs.lattice, cs.contact
     k = lattice.size
     up = lattice.leq_masks
@@ -133,6 +141,36 @@ def p3_with_atoms_apart():
     )
 
 
+def level_three_separator():
+    """The 13-element level-3 separator: P(4) minus {0x1, 0x4, 0x5}, with the
+    down-closure of {0x2, 0xd}, {0x7, 0x8} and {0x6, 0x9} out of contact."""
+    carrier = tuple(m for m in range(16) if m not in (0x1, 0x4, 0x5))
+    index = {m: i for i, m in enumerate(carrier)}
+    below = [[x for x in carrier if x and x & top == x] for top in range(16)]
+    pairs = {
+        tuple(sorted((index[x], index[y])))
+        for a, b in ((0x2, 0xD), (0x7, 0x8), (0x6, 0x9))
+        for x in below[a]
+        for y in below[b]
+    }
+    lattice = FiniteJoinSemilattice(4, carrier)
+    return ContactStructure(lattice, contact_all_except(len(carrier), sorted(pairs)))
+
+
+def relabel_points(cs, sigma):
+    """The same structure on the family whose ground point i is sigma[i]."""
+    def image(bits):
+        return sum(1 << sigma[i] for i in iter_bits(bits))
+
+    carrier = sorted(cs.lattice.carrier, key=image)
+    lattice = FiniteJoinSemilattice(cs.lattice.width, tuple(map(image, carrier)))
+    new = {cs.lattice.carrier.index(bits): i for i, bits in enumerate(carrier)}
+    rows = [0] * cs.size
+    for i, row in enumerate(cs.contact.rows):
+        rows[new[i]] = sum(1 << new[j] for j in iter_bits(row))
+    return ContactStructure(lattice, ContactRelation(cs.size, tuple(rows)))
+
+
 def test_class_counts_match_known_lattice_numbers():
     by_size = {}
     for lattice in enumerate_semilattices(7):
@@ -179,7 +217,10 @@ def lattices_of_size(size):
 
 
 def test_lattice_growth_past_the_cap_gives_size_nine():
-    assert len(lattices_of_size(9)) == 1078  # OEIS A006966(9)
+    lattices = lattices_of_size(9)
+    assert len(lattices) == 1078  # OEIS A006966(9)
+    # Their contact classes, counted from Aut(L) alone.
+    assert sum(burnside_class_counts(map(_realize, lattices))) == 110833
 
 
 @pytest.mark.slow
@@ -258,11 +299,12 @@ def test_all_pairs_relation_emitted_last():
 
 
 def test_iso_key_invariant_under_relabelling(ps2, m3):
-    for cs in (ps2, m3):
+    for cs in (ps2, m3, level_three_separator()):
         base = iso_class_key(cs)
         k = cs.size
-        carrier = cs.lattice.carrier
-        for perm in list(permutations(range(1, k)))[:8]:
+        for sigma in permutations(range(cs.lattice.width)):
+            assert iso_class_key(relabel_points(cs, sigma)) == base
+        for perm in islice(permutations(range(1, k)), 8):
             p = [0] + list(perm)
             # permuted structure realized on the same family but relabelled
             # contact; lattice must be rebuilt consistently, so permute the
@@ -332,6 +374,14 @@ def test_automorphisms_match_search_over_all_permutations():
         assert sorted(_automorphisms(lattice)) == automorphisms_by_search(lattice)
 
 
+@pytest.mark.slow
+def test_automorphisms_match_search_over_all_permutations_at_size_eight():
+    lattices = [lattice for lattice in enumerate_semilattices(8) if lattice.size == 8]
+    assert len(lattices) == 222
+    for lattice in lattices:
+        assert sorted(_automorphisms(lattice)) == automorphisms_by_search(lattice)
+
+
 @pytest.fixture(scope="module")
 def chunks_to_eight():
     """Each lattice up to size 8 with its corpus records at depth 1."""
@@ -344,7 +394,7 @@ def chunks_to_eight():
 
 def test_burnside_counts_match_the_corpus_per_lattice(chunks_to_eight):
     # Classes counted from Aut(L) alone, with no dedupe and no key.
-    counts = burnside_class_counts(8)
+    counts = burnside_class_counts(enumerate_semilattices(8))
     assert counts == [len(records) for _, records in chunks_to_eight]
     by_size = Counter()
     for (lattice, _), count in zip(chunks_to_eight, counts, strict=True):
@@ -484,6 +534,27 @@ def test_no_separator_below_carrier_eight():
     # recorded negative: no carrier <= 7 passes d1 and level 1 while
     # failing level 2
     assert find_minimal_separators(7, 2) == []
+
+
+def test_thirteen_element_level_three_separator():
+    cs = level_three_separator()
+    assert cs.size == 13
+    assert cs.contact.noncontact_pairs() == [
+        (1, 5), (1, 6), (1, 9), (1, 10), (2, 5), (3, 5), (3, 6), (4, 5)
+    ]
+    for check in (check_weak_contact, check_additive, check_d1, check_d2_minus):
+        assert check(cs).passed
+    for level in (1, 2):
+        assert check_d2(cs, level).passed and check_d2_naive(cs, level).passed
+    verdict = check_d2(cs, 3)
+    assert not verdict.passed and not check_d2_naive(cs, 3).passed
+    assert verdict.witness.elements == (("a", 2), ("b", 9))
+    assert verdict.witness.pairs == ((1, 9), (2, 5), (3, 6))
+    assert revalidate_witness(cs, "d2", {"n": 3}, verdict.witness)
+    assert isinstance(decide_weak_representable(cs), Representation)
+    refusal = decide_overlap_representable(cs)
+    assert isinstance(refusal, Refusal)
+    assert (refusal.reason, refusal.elements) == ("uncovered-contact-pair", (2, 9))
 
 
 def test_eight_element_level_two_separator():
