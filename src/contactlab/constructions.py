@@ -82,11 +82,6 @@ class SeparatorStructure:
     even_product: int
     odd_product: int
 
-    @property
-    def generator_indices(self) -> tuple[int, ...]:
-        flat = [i for pair in self.literal_pairs for i in pair]
-        return tuple(sorted(flat + [self.even_product, self.odd_product]))
-
     @cached_property
     def roles(self) -> dict[str, int]:
         out: dict[str, int] = {}

@@ -7,9 +7,15 @@ machine-word and wider ground sets.  Widths are owned by the containing
 structure; raw masks never travel between structures of different width.
 
 All structures are immutable after construction and all operations are pure;
-what a structure caches (derived masks, the non-contact pairs, the levels
-the axiom searches found free of violations) only records facts about it.
-So values can be shared freely across threads or processes.
+what a structure caches (derived masks, the non-contact pairs, the first
+weak-contact violation, the levels the axiom searches found free of
+violations) only records facts about it.  So values can be shared freely
+across threads or processes.
+
+Whether a relation is a weak contact is decided once, by
+``ContactStructure.weak_contact_violation``, which also names the first
+violation, in time linear in the smaller side of the relation: an invalid
+relation costs what a valid one does.
 """
 
 from __future__ import annotations
@@ -353,8 +359,10 @@ class ContactRelation:
     Bit ``j`` of ``rows[i]`` means index ``i`` is related to index ``j``;
     bits at or beyond ``size`` are refused.  Validity (symmetry, reflexivity
     on nonzero, zero-freeness, monotonicity) is not assumed here:
-    ``ContactStructure.is_weak_contact`` decides it once per structure, and
-    ``axioms.check_weak_contact`` reports a witness when it fails.
+    ``ContactStructure.weak_contact_violation`` decides it once per
+    structure and names the first violation, which
+    ``axioms.check_weak_contact`` reports as a witness and
+    ``axioms.require_weak_contact`` as an input error.
     """
 
     size: int
@@ -499,43 +507,79 @@ class ContactStructure:
         return None
 
     @cached_property
-    def is_weak_contact(self) -> bool:
-        """Whether the relation is a weak contact, in O(size + min(|R|, |N|))
-        row operations, R the related pairs and N the unrelated nonzero ones.
+    def weak_contact_violation(
+        self,
+    ) -> tuple[str, tuple[tuple[str, int], ...], int] | None:
+        """None on a weak contact, else ``(kind, roles, examined)``: the first
+        violation a pair-by-pair scan meets (row 0; bit 0 and the diagonal of
+        each nonzero row; symmetry over every related entry, then up-closure
+        of every row, both row-major) and that scan's count up to it, read
+        off row popcounts.  An up-closure witness is two-sided (a d b,
+        a <= a1, b <= b1, not a1 d b1) with a1 = a and the least b1.
 
-        After row 0, bit 0 and the nonzero diagonal (rows hold no bit beyond
-        the carrier), one side is checked for the whole relation, whichever has
-        fewer pairs.  Related side: i in ``rows[j]`` for every j in
-        ``rows[i]`` (symmetry), and each row holds the up-set of its members
-        (up-closure).  Unrelated side: i not in ``rows[j]`` for every nonzero
-        j outside ``rows[i]`` (the contrapositive of symmetry), and each row
-        misses the down-set of its non-members (an up-set's complement is a
-        down-set).  Up-closure may be checked on either side row by row, but
-        symmetry may not: on the chain 0 < 1 < 2 with rows {1, 2} and {2},
-        row 1 checked on its related side and row 2 on its unrelated side see
-        neither (1, 2) nor (2, 1), and 1 d 2 holds while 2 d 1 does not.
+        O(size + min(|R|, |N|)) row operations on valid and invalid relations
+        alike, R the related pairs and N the unrelated nonzero ones: each
+        row's asymmetric and not up-closed entries are marked from one side
+        of the whole relation, whichever is smaller.  Related side: j in row
+        i is asymmetric if i is not in row j, and not up-closed if the up-set
+        of j is not in row i.  Unrelated side: for each nonzero j outside row
+        i, entry i of row j is asymmetric if present, and the members of row
+        i below j are not up-closed.  The side may not be chosen row by row:
+        on the chain 0 < 1 < 2 with rows {1, 2} and {2}, row 1 on its related
+        side and row 2 on its unrelated side both miss that 1 d 2 holds while
+        2 d 1 does not.
         """
         rows = self.contact.rows
         size = self.size
         if rows[0]:
-            return False
+            return "zero", (("a", 0), ("b", next(iter_bits(rows[0])))), 0
         for i in range(1, size):
-            if rows[i] & 1 or not (rows[i] >> i) & 1:
-                return False
-        nonzero = full_mask(size) ^ 1
-        related = sum(row.bit_count() for row in rows)
-        if 2 * related <= (size - 1) * (size - 1):
+            if rows[i] & 1:
+                return "zero", (("a", i), ("b", 0)), i
+            if not (rows[i] >> i) & 1:
+                return "reflexivity", (("a", i),), i
+        related = sum(map(int.bit_count, rows))
+        asymmetric, unclosed = [0] * size, [0] * size
+        related_side = 2 * related <= (size - 1) * (size - 1)
+        if related_side:
             up = self.lattice.leq_masks
             for i in range(1, size):
                 row = rows[i]
                 for j in iter_bits(row):
-                    if not (rows[j] >> i) & 1 or up[j] & ~row:
-                        return False
+                    if not (rows[j] >> i) & 1:
+                        asymmetric[i] |= 1 << j
+                    if up[j] & ~row:
+                        unclosed[i] |= 1 << j
         else:
             down = self.lattice.below_masks
+            nonzero = full_mask(size) ^ 1
             for i in range(1, size):
-                row = rows[i]
+                row, reach = rows[i], 0
                 for j in iter_bits(nonzero & ~row):
-                    if (rows[j] >> i) & 1 or down[j] & row:
-                        return False
-        return True
+                    if (rows[j] >> i) & 1:
+                        asymmetric[j] |= 1 << i
+                    reach |= down[j]
+                if reach:
+                    unclosed[i] = reach & row
+        if any(asymmetric):
+            kind, marks, base = "symmetry", asymmetric, size - 1
+        elif any(unclosed):
+            kind, marks, base = "extension", unclosed, size - 1 + related
+        else:
+            return None
+        i = next(i for i, hit in enumerate(marks) if hit)
+        j = next(iter_bits(marks[i]))
+        earlier = sum(map(int.bit_count, rows[:i]))
+        examined = base + earlier + (rows[i] & ((2 << j) - 1)).bit_count()
+        if kind == "symmetry":
+            return kind, (("a", i), ("b", j)), examined
+        if related_side:
+            b1 = next(iter_bits(up[j] & ~rows[i]))
+        else:
+            b1 = next(k for k in iter_bits(nonzero & ~rows[i]) if (down[k] >> j) & 1)
+        return kind, (("a", i), ("b", j), ("a1", i), ("b1", b1)), examined
+
+    @property
+    def is_weak_contact(self) -> bool:
+        """Whether the relation is a weak contact (``weak_contact_violation``)."""
+        return self.weak_contact_violation is None

@@ -215,13 +215,6 @@ def load_structure_file(path: str) -> tuple[ContactStructure, dict[str, int]]:
     return structure_from_json(load_json_file(path))
 
 
-def write_structure_file(
-    path: str, cs: ContactStructure, roles: dict[str, int] | None = None
-) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_dumps(structure_to_json(cs, roles)))
-
-
 # ---------------------------------------------------------------------------
 # DOT export
 

@@ -6,8 +6,9 @@ exponential in the number of pairs.  The library must return the same
 verdicts, params and witnesses; only the ``examined`` counts differ.
 ``gated_first_d2_violation`` puts the column test back in front of the
 per-partner d2 scan, and ``check_weak_contact`` walks every pair of the
-relation; the library's image-based d2 search and one-sided weak-contact
-gate must match them ``examined`` included.  ``check_d2_naive`` transcribes
+relation; the library's image-based d2 search and weak-contact routine
+(``ContactStructure.weak_contact_violation``) must match them ``examined``
+included.  ``check_d2_naive`` transcribes
 level-n d2 literally, without the library's reductions, so only its verdicts
 are compared.  ``brute_force_representation`` searches every
 join-preserving map into a small powerset, sharing no machinery with the
@@ -28,12 +29,15 @@ the admissible columns from the non-contact pairs and decide the column
 tests and representability pair by pair, as the library did before all
 three read one set of canonical images.
 
-Three builders serve only the tests: ``contact_from_related_pairs`` (a
-relation from its related pairs), ``parity_products_sum_form`` (the parity
-products as sums of full literal products, the second normal form the
-library's selector-sum products must equal) and ``count_semilattice_tables``
-(semilattice classes counted by filtering every binary operation table,
-independent of the library's lattice-growth generator).
+Five builders serve only the tests: ``contact_from_related_pairs`` (a
+relation from its related pairs), ``generator_indices`` (a separator's
+designated elements, read off the construction), ``write_structure_file``
+(a structure file in canonical bytes), ``parity_products_sum_form`` (the
+parity products as sums of full literal products, the second normal form
+the library's selector-sum products must equal) and
+``count_semilattice_tables`` (semilattice classes counted by filtering
+every binary operation table, independent of the library's lattice-growth
+generator).
 
 ``lattices_by_poset_growth`` finds the lattices as the library did before it
 grew them a coatom at a time: it grows every bottomed poset one maximal
@@ -84,7 +88,7 @@ from contactlab.enumeration import (
     _transpose,
 )
 from contactlab.representation import Refusal, Representation
-from contactlab.serialize import SchemaError
+from contactlab.serialize import SchemaError, canonical_dumps, structure_to_json
 
 TABLE_ORACLE_CAP = 5
 
@@ -102,6 +106,21 @@ def contact_from_related_pairs(
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return ContactRelation(size, tuple(rows))
+
+
+def generator_indices(sep: SeparatorStructure) -> tuple[int, ...]:
+    """Carrier indices of a separator's 2n + 2 designated elements (the
+    literals and the two parity products), ascending."""
+    flat = [i for pair in sep.literal_pairs for i in pair]
+    return tuple(sorted(flat + [sep.even_product, sep.odd_product]))
+
+
+def write_structure_file(
+    path: str, cs: ContactStructure, roles: dict[str, int] | None = None
+) -> None:
+    """A structure file in the canonical bytes the loader reads."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(canonical_dumps(structure_to_json(cs, roles)))
 
 
 def parity_products_sum_form(n: int) -> tuple[Bits, Bits]:

@@ -44,13 +44,13 @@ from contactlab.serialize import (
     canonical_dumps,
     structure_from_json,
     structure_to_json,
-    write_structure_file,
 )
 from scan_oracles import (
     Exhausted,
     brute_force_representation,
     check_d2_naive,
     parity_products_sum_form,
+    write_structure_file,
 )
 
 

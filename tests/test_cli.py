@@ -9,17 +9,17 @@ import sys
 import pytest
 
 import contactlab
+import scan_oracles
 from contactlab import constructions
 from contactlab import certificates
 from contactlab.certificates import matches_canonical_construction, verify_certificate
 from contactlab import cli
 from contactlab.cli import main
-from contactlab.core import WIDTH_CAP
+from contactlab.core import WIDTH_CAP, ContactStructure, contact_all_except
 from contactlab.serialize import (
     mask_to_hex,
     structure_from_json,
     structure_to_json,
-    write_structure_file,
 )
 
 
@@ -29,7 +29,7 @@ def s2_file(tmp_path_factory):
 
     sep = build_separator(2)
     path = tmp_path_factory.mktemp("structures") / "s2.json"
-    write_structure_file(str(path), sep.structure, sep.roles)
+    scan_oracles.write_structure_file(str(path), sep.structure, sep.roles)
     return str(path)
 
 
@@ -439,6 +439,38 @@ def test_check_and_represent_refuse_a_relation_that_is_not_a_weak_contact(
         ["represent", str(path), "--mode", "overlap"],
     ):
         _assert_input_error(argv, capsys)
+
+
+def test_check_and_represent_refuse_a_separator_missing_one_contact_pair(
+    tmp_path, capsys
+):
+    # The level-4 separator with (top - 1, top) also out of contact: the
+    # file is symmetric and reflexive, as every structure file is, but the
+    # row of top - 1 is not up-closed.  Every refusal names the first
+    # violation of the pair-by-pair scan.
+    sep = constructions.build_separator(4)
+    cs = sep.structure
+    top = cs.lattice.top
+    noncontact = [*cs.contact.noncontact_pairs(), (top - 1, top)]
+    bad = ContactStructure(cs.lattice, contact_all_except(cs.size, noncontact))
+    path = tmp_path / "s4_dropped.json"
+    scan_oracles.write_structure_file(str(path), bad, sep.roles)
+    witness = scan_oracles.check_weak_contact(bad).witness
+    assert witness.kind == "extension"
+    capsys.readouterr()
+    assert main(["check", str(path), "weak-contact"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "weak-contact: fail",
+        f"witness: {json.dumps(witness.to_json(), sort_keys=True)}",
+    ]
+    refusal = (
+        "input error: not a weak contact relation: extension violated at "
+        f"{dict(witness.elements)}\n"
+    )
+    for argv in (["check", str(path), "d1"], ["represent", str(path), "--mode", "weak"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", refusal)
 
 
 @pytest.mark.parametrize(

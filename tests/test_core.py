@@ -21,6 +21,7 @@ from contactlab.core import (
     WIDTH_CAP,
     overlap_contact,
 )
+from scan_oracles import generator_indices
 
 
 def brute_union_closure(generators):
@@ -204,7 +205,7 @@ def test_separator_atoms_are_designated(sep2):
         ):
             minimal.append(i)
     assert tuple(minimal) == lattice.atoms()
-    assert set(minimal) == set(sep2.generator_indices)
+    assert set(minimal) == set(generator_indices(sep2))
     assert len(minimal) == 6
 
 

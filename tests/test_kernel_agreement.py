@@ -1,19 +1,25 @@
 """The d2 search, which applies the image test to each pair set's selector
-sums, and the one-sided weak-contact gate agree with the scans they replace,
-and the d1+ and d2 searches, which resume above the levels earlier calls on
-the same structure passed, give what the same call gives on a fresh one.
+sums, and the weak-contact routine, which marks violations from the smaller
+side of the relation, agree with the scans they replace, and the d1+ and d2
+searches, which resume above the levels earlier calls on the same structure
+passed, give what the same call gives on a fresh one.
 
 ``scan_oracles.gated_first_d2_violation`` is the per-partner d2 scan behind
 the same column test, and ``scan_oracles.check_weak_contact`` walks every
 pair of the relation.  Verdicts, witnesses and profiles must match in full,
-``examined`` included; only the wall-clock ``elapsed_s`` may differ.
+``examined`` included; only the wall-clock ``elapsed_s`` may differ.  The
+weak-contact routine is checked on every relation of the smallest lattices,
+every corruption of the contacts up to size 6, random closures, corrupted
+separators up to n = 5 (one corruption per clause at n = 4 and 5), and for
+the work it does: refusing the level-6 separator with one pair dropped
+visits its rows and non-contact entries, not its 2.8M related entries.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scan_oracles
-from contactlab import axioms
+from contactlab import axioms, core
 from contactlab.axioms import InvalidContactError, require_weak_contact
 from contactlab.constructions import build_separator
 from contactlab.core import (
@@ -168,6 +174,57 @@ def test_weak_contact_agrees_on_corrupted_separators(n):
     rows = None if n == 2 else sorted({0, cs.lattice.top, *sum(sep.literal_pairs, ())})
     for bad in corruptions(cs, rows):
         assert_weak_contact_agrees(bad)
+
+
+def clause_corruptions(cs, pair):
+    """One corruption per weak-contact clause, in scan order: a bit in
+    row 0, a missing diagonal bit, the non-contact ``pair`` made related on
+    one side only, and the two-sided drop of (top - 1, top)."""
+    top = cs.lattice.top
+    yield flipped(cs, 0, top, False)
+    yield flipped(cs, top, top, False)
+    yield flipped(cs, *pair, False)
+    yield flipped(cs, top - 1, top, True)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_weak_contact_agrees_on_one_corruption_per_clause(n):
+    sep = build_separator(n)
+    kinds = []
+    for bad in clause_corruptions(sep.structure, sep.literal_pairs[0]):
+        assert_weak_contact_agrees(bad)
+        kinds.append(axioms.check_weak_contact(bad).witness.kind)
+    assert kinds == ["zero", "reflexivity", "symmetry", "extension"]
+
+
+def test_refusal_visits_the_unrelated_entries_only(monkeypatch):
+    # The level-6 separator with (top - 1, top) dropped has 2.8M related
+    # entries and 7 non-contact pairs.  The refusal looks at the rows, not
+    # at the related entries a pair-by-pair scan walks, and still names the
+    # scan's first violation with the scan's count.
+    cs = build_separator(6).structure
+    top = cs.lattice.top
+    bad = flipped(cs, top - 1, top, True)
+    noncontact = len(bad.contact.noncontact_pairs())
+    assert (top, noncontact) == (1675, 7)
+    visited = 0
+    iter_bits = core.iter_bits
+
+    def counted(mask):
+        nonlocal visited
+        for k in iter_bits(mask):
+            visited += 1
+            yield k
+
+    monkeypatch.setattr(core, "iter_bits", counted)
+    monkeypatch.setattr(axioms, "iter_bits", counted)
+    verdict = axioms.check_weak_contact(bad)
+    assert verdict.witness.kind == "extension"
+    assert dict(verdict.witness.elements) == {"a": 1674, "b": 1, "a1": 1674, "b1": 1675}
+    assert verdict.examined == 5609550
+    assert visited <= cs.size + 2 * noncontact
+    with pytest.raises(InvalidContactError, match="extension violated"):
+        require_weak_contact(bad)
 
 
 def test_level_five_counters(sep5):

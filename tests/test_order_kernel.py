@@ -68,7 +68,7 @@ def test_masks_and_closure_agree_on_separators(n):
     lattice = sep.structure.lattice
     assert_masks_agree(lattice)
     assert_closure_agrees(lattice.width, lattice.carrier)
-    assert lattice.union_irreducibles() == sep.generator_indices
+    assert lattice.union_irreducibles() == scan_oracles.generator_indices(sep)
     # Dropping an atom keeps the carrier union-closed; dropping the top or
     # a reducible element does not, and the error names the scan's first gap.
     for dropped in (sep.even_product, lattice.top, lattice.top - 1):
