@@ -3,8 +3,9 @@
 A certificate embeds the structure it talks about, the checks that were run,
 their verdicts and witnesses, and the command's expectations.  Verification
 re-derives every entry from the embedded structure alone, so a certificate
-can be audited without trusting the process that wrote it.  Wall-clock stats
-are recorded but excluded from comparison.
+can be audited without trusting the process that wrote it, and requires every
+entry its command writes, so none can be dropped.  Wall-clock stats are
+recorded but excluded from comparison.
 
 Separator certificates carry facts about the minimal contact on the ambient
 powerset, derived lazily for every n (``separator_extension_facts``).
@@ -12,6 +13,7 @@ powerset, derived lazily for every n (``separator_extension_facts``).
 
 from __future__ import annotations
 
+import json
 import time
 from typing import Any
 
@@ -20,6 +22,8 @@ from .axioms import (
     CHECKERS,
     Verdict,
     Witness,
+    check_d1,
+    check_d2,
     revalidate_witness,
 )
 from .constructions import (
@@ -184,6 +188,47 @@ def conclusion_ok(entries: list[dict[str, Any]]) -> bool:
     return all(entry_matches_expectation(e) for e in entries)
 
 
+def sn_entry_keys(n: int) -> list[tuple[str, str, dict[str, int]]]:
+    """(kind, name, params) of each entry ``sn --n <n>`` writes, in order:
+    what ``sn_entries`` writes and ``verify_certificate`` requires."""
+    facts = ("ground_size", "carrier_size", "atom_count", "noncontact_pair_count")
+    extension = "embedding_criterion weak_contact preserves reflects nonadditive"
+    return [
+        *(("fact", name, {}) for name in facts),
+        ("axiom", "d1", {}),
+        *(("axiom", "d2", {"n": level}) for level in range(1, n + 1)),
+        ("witness-check", "d2", {"n": n}),
+        ("separator", "matches_canonical_construction", {}),
+        *(("separator", f"extension_{fact}", {}) for fact in extension.split()),
+    ]
+
+
+def sn_entries(sep: SeparatorStructure) -> list[dict[str, Any]]:
+    """One entry per ``sn_entry_keys(n)``, each expecting what the paper
+    proves of the level-n separator: d2 fails at level n and nowhere below."""
+    cs, n = sep.structure, sep.n
+    expected_facts = {"atom_count": 2 * n + 2, "noncontact_pair_count": n}
+    extension: dict[str, bool] | None = None
+    entries = []
+    for kind, name, params in sn_entry_keys(n):
+        if kind == "fact":
+            value = compute_fact(cs, name)
+            entries.append(fact_entry(name, value, expected_facts.get(name)))
+        elif kind == "axiom":
+            verdict = check_d2(cs, params["n"]) if params else check_d1(cs)
+            entries.append(axiom_entry(verdict, "fail" if params == {"n": n} else "pass"))
+        elif kind == "witness-check":
+            witness = sep.expected_d2_witness()
+            valid = revalidate_witness(cs, name, params, witness)
+            entries.append(witness_check_entry(name, params, witness, valid))
+        elif name == "matches_canonical_construction":
+            entries.append(separator_entry(name, True))
+        else:
+            extension = extension or separator_extension_facts(sep)
+            entries.append(separator_entry(name, extension[name]))
+    return entries
+
+
 def build_certificate(
     command: str,
     parameters: dict[str, Any],
@@ -212,12 +257,12 @@ def build_certificate(
 
 def certificate_entries(cert: dict[str, Any]) -> list[dict[str, Any]]:
     """The certificate's entry list; SchemaError unless it is a list of
-    objects that each name their kind."""
+    objects that each name their kind with a string."""
     entries = cert.get("entries")
     if not isinstance(entries, list):
         raise SchemaError("entries: expected a list of objects")
     for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "kind" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("kind"), str):
             raise SchemaError(f"entries[{pos}]: expected an object with a kind")
     return entries
 
@@ -226,13 +271,42 @@ def _strip_stats(entry: dict[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in entry.items() if k != "stats"}
 
 
+def missing_entries(
+    command: Any, params: dict[str, Any], entries: list[dict[str, Any]]
+) -> list[str]:
+    """One problem line per entry the command writes that ``entries`` lacks;
+    SchemaError for a command that writes no certificate."""
+    if command == "sn":
+        required = sn_entry_keys(params["n"])
+    elif command == "check":
+        required = [("axiom", params.get("axiom"), None)]
+    elif command == "represent":
+        required = [("representation", params.get("mode"), None)]
+    else:
+        raise SchemaError(f"command: expected sn, check or represent, got {command!r}")
+    present = [
+        (e["kind"], e.get("axiom") or e.get("fact") or e.get("mode"), e.get("params", {}))
+        for e in entries
+    ]
+    problems = []
+    for kind, name, keyed in required:
+        if not any(
+            (k, n) == (kind, name) and (keyed is None or p == keyed)
+            for k, n, p in present
+        ):
+            suffix = f" {json.dumps(keyed, sort_keys=True)}" if keyed else ""
+            problems.append(f"missing {kind} entry {name}{suffix}")
+    return problems
+
+
 def verify_certificate(cert: Any) -> list[str]:
     """Re-derive every embedded check; returns the list of discrepancies."""
     problems: list[str] = []
     if not isinstance(cert, dict):
         raise SchemaError("certificate payload must be a JSON object")
-    if cert.get("version") != SCHEMA_VERSION:
-        raise SchemaError(f"version: expected {SCHEMA_VERSION}")
+    version = cert.get("version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"version: expected {SCHEMA_VERSION}, got {version!r}")
     for field in ("command", "parameters", "structure", "structure_sha256", "entries"):
         if field not in cert:
             raise SchemaError(f"{field}: missing certificate field")
@@ -240,15 +314,18 @@ def verify_certificate(cert: Any) -> list[str]:
     conclusion = cert.get("conclusion", {})
     if not isinstance(conclusion, dict):
         raise SchemaError("conclusion: expected an object")
+    params = cert["parameters"]
+    if not isinstance(params, dict):
+        raise SchemaError("parameters: expected an object")
 
-    if any(entry["kind"] == "separator" for entry in entries):
-        params = cert["parameters"]
-        n = params.get("n") if isinstance(params, dict) else None
-        if not isinstance(n, int) or not 2 <= n <= SN_CERTIFICATE_CAP:
+    if cert["command"] == "sn" or any(entry["kind"] == "separator" for entry in entries):
+        n = params.get("n")
+        if type(n) is not int or not 2 <= n <= SN_CERTIFICATE_CAP:
             raise SchemaError(
                 f"parameters.n: a separator certificate needs an int in "
                 f"2..{SN_CERTIFICATE_CAP}, got {n!r}"
             )
+    problems += missing_entries(cert["command"], params, entries)
 
     cs, _roles = structure_from_json(cert["structure"])
     if structure_sha256(cert["structure"]) != cert["structure_sha256"]:

@@ -17,29 +17,18 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .axioms import (
-    CHECKERS,
-    InvalidContactError,
-    check_d1,
-    check_d2,
-    require_weak_contact,
-    revalidate_witness,
-)
+from .axioms import CHECKERS, InvalidContactError, require_weak_contact
 from .certificates import (
     SN_CERTIFICATE_CAP,
     axiom_entry,
     build_certificate,
     certificate_entries,
-    compute_fact,
     conclusion_ok,
     decide_representation,
     entry_matches_expectation,
-    fact_entry,
     representation_entry,
-    separator_entry,
-    separator_extension_facts,
+    sn_entries,
     verify_certificate,
-    witness_check_entry,
 )
 from .constructions import ConstructionError, build_separator
 from .core import CapExceededError
@@ -135,28 +124,13 @@ def cmd_sn(args: argparse.Namespace) -> int:
     except ConstructionError as exc:
         print(f"construction invariant failed: {exc}", file=sys.stderr)
         return 1
-    cs = sep.structure
-
-    expected_facts = {"atom_count": 2 * args.n + 2, "noncontact_pair_count": args.n}
-    entries = [
-        fact_entry(name, compute_fact(cs, name), expected_facts.get(name))
-        for name in ("ground_size", "carrier_size", "atom_count", "noncontact_pair_count")
-    ]
-    entries.append(axiom_entry(check_d1(cs), "pass"))
-    for level in range(1, args.n + 1):
-        expected = "pass" if level < args.n else "fail"
-        entries.append(axiom_entry(check_d2(cs, level), expected))
-    witness = sep.expected_d2_witness()
-    valid = revalidate_witness(cs, "d2", {"n": args.n}, witness)
-    entries.append(witness_check_entry("d2", {"n": args.n}, witness, valid))
-    entries.append(separator_entry("matches_canonical_construction", True))
-    for fact, value in separator_extension_facts(sep).items():
-        entries.append(separator_entry(fact, value))
-
+    entries = sn_entries(sep)
     _print_entries(entries)
     ok = conclusion_ok(entries)
     print(f"sn --n {args.n}: {'all asserted facts verified' if ok else 'MISMATCH'}")
-    _write_certificate(args.out, "sn", {"n": args.n}, cs, sep.roles, entries, started)
+    _write_certificate(
+        args.out, "sn", {"n": args.n}, sep.structure, sep.roles, entries, started
+    )
     return 0 if ok else 1
 
 

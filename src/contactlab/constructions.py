@@ -252,7 +252,7 @@ def ambient_related(sep: SeparatorStructure, b1: Bits, b2: Bits) -> bool:
     On a full powerset a common nonzero lower bound is a nonempty
     intersection; the second clause asks whether a related source pair sits
     below the two sides, whose source elements are two ``subsets_of`` masks
-    (O(width) big-int operations each).
+    (O(irreducibles) big-int operations each).
     """
     if b1 == 0 or b2 == 0:
         return False
@@ -274,10 +274,10 @@ def ambient_extension_facts(sep: SeparatorStructure) -> dict[str, bool]:
     splits into ambient atoms none of which contacts the odd product.
 
     Overlapping images are related in the ambient extension, so each row
-    costs one OR of ``point_masks`` per point of its element (O(size * width)
-    big-int operations in all), and ``ambient_related`` runs only on the
-    related pairs that are disjoint, the non-contact pairs and three
-    splitting facts.
+    costs one ``meeting`` fold over the union-irreducibles (O(size *
+    irreducibles) big-int operations in all), and ``ambient_related`` runs
+    only on the related pairs that are disjoint, the non-contact pairs and
+    three splitting facts.
     """
     lattice = sep.structure.lattice
     rel = sep.structure.contact

@@ -27,7 +27,8 @@ from typing import Any, Iterator, Sequence
 Bits = int  # subset of a ground set; bit k <-> ground point k
 
 # Widest ground set a free algebra or a structure file may have.  Order
-# masks cost O(size * width), so the cap also bounds what a file can ask for.
+# masks cost O(size * irreducibles) operations on width-bit and size-bit
+# ints, so the cap also bounds what a file can ask for.
 WIDTH_CAP = 1024
 
 
@@ -143,11 +144,7 @@ class FiniteJoinSemilattice:
         # reducible g is the union of smaller elements b1, ..., bm, each
         # joining into the family, so a | g = (...(a | b1) | ...) | bm does
         # too.  A level-n separator has 2n + 2 irreducibles.
-        if all(
-            a | self.carrier[g] in self.index
-            for g in self.union_irreducibles()
-            for a in self.carrier
-        ):
+        if all(a | g in self.index for _, g, _ in self.basis for a in self.carrier):
             return
         # Not closed: the pair scan names its first gap.
         for a in self.carrier:
@@ -162,9 +159,9 @@ class FiniteJoinSemilattice:
         cls, width: int, carrier: tuple[Bits, ...]
     ) -> "FiniteJoinSemilattice":
         """Carrier already known sorted and union-closed; skips the re-check
-        (O(size * width) size-bit big-int operations for ``below_masks`` and
-        the union-irreducibles, plus size dict lookups per irreducible).  For
-        construction paths that close the carrier themselves."""
+        (the ``basis`` pass, O(size * irreducibles) big-int operations, plus
+        size dict lookups per irreducible).  For construction paths that
+        close the carrier themselves."""
         self = object.__new__(cls)
         self.width = width
         self.carrier = carrier
@@ -215,30 +212,37 @@ class FiniteJoinSemilattice:
         return tuple(i for i in range(1, self.size) if below[i] == 1 | (1 << i))
 
     @cached_property
-    def point_masks(self) -> tuple[int, ...]:
-        """point_masks[k] has bit i iff ground point k is in carrier[i].
+    def basis(self) -> tuple[tuple[int, Bits, int], ...]:
+        """``(g, carrier[g], up)`` per union-irreducible g, ascending; bit i
+        of ``up`` is set iff carrier[g] <= carrier[i].
 
-        One transposition of the elements' binary numerals: O(size * width)
-        character operations and ``width`` int parses, no per-bit big-int
-        work.  Every order mask below is a fold of these columns, which
-        assumes size >> width (the separators: 148-1,676 elements on 2^n
-        points).  A carrier wider than it is large costs more here than the
-        O(size^2) pair scans these folds replace.
+        One walk of the sorted carrier: an element is irreducible iff the
+        earlier irreducibles inside it do not cover it, and the same loop
+        marks it in their up-sets.  Each element of a finite family is the
+        union of the irreducibles inside it, all earlier, so this holds on
+        any sorted family, closed or not.  O(size * irreducibles) big-int
+        operations, whatever the width; every order mask folds these up-sets.
         """
-        # bin(bits | sentinel) is "0b1" then exactly width digits, high
-        # first, so column k is every step-th character from step - 1 - k.
-        width = self.width
-        sentinel, step = 1 << width, width + 3
-        numerals = "".join([bin(bits | sentinel) for bits in reversed(self.carrier)])
-        return tuple([int(numerals[step - 1 - k :: step], 2) for k in range(width)])
+        indices, gens, ups = [], [], []
+        for i, bits in enumerate(self.carrier):
+            bit, covered = 1 << i, 0
+            for k, g in enumerate(gens):
+                if not g & ~bits:
+                    covered |= g
+                    ups[k] |= bit
+            if covered != bits:
+                indices.append(i)
+                gens.append(bits)
+                ups.append(bit)
+        return tuple(zip(indices, gens, ups))
 
     def meeting(self, bits: Bits) -> int:
-        """Indices of the carrier elements sharing a point with ``bits``: the
-        OR of ``point_masks[k]`` over the points k of ``bits``."""
+        """Indices of the carrier elements sharing a point with ``bits``:
+        the up-sets of the irreducibles meeting it."""
         mask = 0
-        for digit, members in zip(bin(bits)[:1:-1], self.point_masks):
-            if digit == "1":
-                mask |= members
+        for _, g, up in self.basis:
+            if g & bits:
+                mask |= up
         return mask
 
     def subsets_of(self, bits: Bits) -> int:
@@ -248,31 +252,22 @@ class FiniteJoinSemilattice:
 
     @cached_property
     def leq_masks(self) -> tuple[int, ...]:
-        """leq_masks[i] has bit j iff carrier[i] <= carrier[j].
-
-        The AND of ``point_masks[k]`` over the points k of carrier[i]: one
-        size-bit AND per point, O(size * width) big-int operations in all
-        (cheaper than a pair scan only while size > width).
-        """
+        """leq_masks[i] has bit j iff carrier[i] <= carrier[j]: the AND of
+        the up-sets of the irreducibles inside carrier[i]."""
         everything = full_mask(self.size)
-        points = self.point_masks
         out = []
         for bits in self.carrier:
             mask = everything
-            for digit, members in zip(bin(bits)[:1:-1], points):
-                if digit == "1":
-                    mask &= members
+            for _, g, up in self.basis:
+                if not g & ~bits:
+                    mask &= up
             out.append(mask)
         return tuple(out)
 
     @cached_property
     def below_masks(self) -> tuple[int, ...]:
-        """below_masks[j] has bit i iff carrier[i] <= carrier[j].
-
-        Everything but the OR of ``point_masks[k]`` over the points k outside
-        carrier[j]: one size-bit OR per such point, O(size * width) big-int
-        operations in all (cheaper than a pair scan only while size > width).
-        """
+        """below_masks[j] has bit i iff carrier[i] <= carrier[j]: everything
+        but the elements meeting a point outside carrier[j]."""
         everything, full = full_mask(self.size), full_mask(self.width)
         return tuple(everything ^ self.meeting(full ^ bits) for bits in self.carrier)
 
@@ -314,21 +309,9 @@ class FiniteJoinSemilattice:
 
     def union_irreducibles(self) -> tuple[int, ...]:
         """Indices of the elements that are not the union of the elements
-        strictly below them: g is reducible iff each of its points lies in
-        an element strictly below it, one size-bit AND per point.
-
-        On a union-closed carrier these are the join-irreducibles; on a
-        separator they are its 2n + 2 designated atoms.
-        """
-        points, below = self.point_masks, self.below_masks
-        out = []
-        for g, bits in enumerate(self.carrier):
-            strict = below[g] ^ (1 << g)
-            for digit, members in zip(bin(bits)[:1:-1], points):
-                if digit == "1" and not strict & members:
-                    out.append(g)
-                    break
-        return tuple(out)
+        strictly below them (``basis``): on a union-closed carrier the
+        join-irreducibles, on a separator its 2n + 2 designated atoms."""
+        return tuple(g for g, _, _ in self.basis)
 
 
 def join_closure(width: int, generators: list[Bits] | tuple[Bits, ...]) -> FiniteJoinSemilattice:
@@ -418,10 +401,10 @@ def contact_all_except(
 
 
 def overlap_contact(lattice: FiniteJoinSemilattice) -> ContactRelation:
-    """a and b in contact iff some nonzero carrier element lies below both."""
+    """a and b in contact iff some nonzero carrier element lies below both,
+    that is, some union-irreducible does: a nonzero element contains one."""
     rows = [0] * lattice.size
-    for p in range(1, lattice.size):
-        up = lattice.leq_masks[p]
+    for _, _, up in lattice.basis:
         for i in iter_bits(up):
             rows[i] |= up
     return ContactRelation(lattice.size, tuple(rows))

@@ -24,6 +24,9 @@ scalars go through the ``json`` C helpers, and a list of pairs of plain ints
 ``%`` template.  Anything else (empty containers, tuples, subclasses, non-str
 keys) is handed to ``json.dumps`` itself and re-indented.
 
+Indices, counts and the version are plain ints (``type(v) is int``, as the
+writer has it): JSON ``true`` and ``false`` are refused, naming the field.
+
 ``structure_from_json`` validates the contact list and builds the relation
 rows in one pass: each pair is type- and range-checked, compared with the
 previous pair for strict ascent (sorted and unique), and OR-ed into its two
@@ -126,12 +129,12 @@ def structure_from_json(data: Any) -> tuple[ContactStructure, dict[str, int]]:
     if not isinstance(data, dict):
         raise SchemaError("structure payload must be a JSON object")
     version = data.get("version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(
             f"version: expected schema version {SCHEMA_VERSION}, got {version!r}"
         )
     ground = data.get("ground_size")
-    if not isinstance(ground, int) or ground < 0:
+    if type(ground) is not int or ground < 0:
         raise SchemaError(f"ground_size: expected a nonnegative int, got {ground!r}")
     if ground > WIDTH_CAP:
         raise SchemaError(f"ground_size: {ground} exceeds the width cap {WIDTH_CAP}")
@@ -157,7 +160,7 @@ def structure_from_json(data: Any) -> tuple[ContactStructure, dict[str, int]]:
     if not isinstance(raw_roles, dict):
         raise SchemaError("roles: expected an object of name -> index")
     for name, idx in raw_roles.items():
-        if not isinstance(idx, int) or not 0 <= idx < lattice.size:
+        if type(idx) is not int or not 0 <= idx < lattice.size:
             raise SchemaError(f"roles[{name!r}]: index {idx!r} out of range")
         roles[str(name)] = idx
 
@@ -175,7 +178,7 @@ def _contact_rows(raw_contact: Any, size: int) -> tuple[int, ...]:
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"contact[{pos}]: expected a pair of ints")
         i, j = item
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (type(i) is int and type(j) is int):
             raise SchemaError(f"contact[{pos}]: expected a pair of ints")
         if not 0 < i < j < size:
             if 0 < i < size and 0 < j < size:

@@ -16,11 +16,13 @@ library's column decider.  ``canonical_dumps_reference`` is the ``json``
 one-liner the library's canonical writer must match byte for byte, and
 ``contact_rows`` is the two-pass contact validation (per-pair checks, then
 ``sorted(set(pairs))``) the one-pass structure loader must match, error
-text included.  ``leq_masks_scan``, ``below_masks_scan`` and
+text included.  ``leq_masks_scan``, ``below_masks_scan``,
+``union_irreducibles_scan``, ``overlap_contact_scan`` and
 ``semilattice_error`` compare every pair of carrier elements, as the order
-masks and the union-closure check did before they were folded from
-per-point columns; ``images_over_scan`` and ``meets_scan`` test each
-element against each column for the lattice-level image kernel;
+masks, the irreducibles, the overlap relation and the union-closure check
+did before they were folded from the irreducibles' up-sets;
+``images_over_scan`` and ``meets_scan`` test each element against each
+column for the lattice-level image kernel;
 ``ambient_extension_facts_scan`` asks ``ambient_related``
 (``ambient_related_scan``, which walks the carrier) about every related
 pair.  The library must match them, error text included.
@@ -743,7 +745,7 @@ def contact_rows(raw_contact, size: int) -> tuple[int, ...]:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(v, int) for v in item)
+            or not all(type(v) is int for v in item)
         ):
             raise SchemaError(f"contact[{pos}]: expected a pair of ints")
         i, j = item
@@ -779,6 +781,35 @@ def below_masks_scan(lattice: FiniteJoinSemilattice) -> tuple[int, ...]:
         for j in iter_bits(mask):
             out[j] |= bit
     return tuple(out)
+
+
+def union_irreducibles_scan(lattice: FiniteJoinSemilattice) -> tuple[int, ...]:
+    """The elements that are not the union of the elements strictly below
+    them, each tested against every other element."""
+    carrier = lattice.carrier
+    out = []
+    for g, bits in enumerate(carrier):
+        below = 0
+        for other in carrier:
+            if other != bits and is_subset(other, bits):
+                below |= other
+        if below != bits:
+            out.append(g)
+    return tuple(out)
+
+
+def overlap_contact_scan(lattice: FiniteJoinSemilattice) -> tuple[int, ...]:
+    """Rows of the relation: a related to b iff some nonzero element lies
+    below both.  Every nonzero element's up-set, found by testing it against
+    every element, is marked related to itself."""
+    carrier = lattice.carrier
+    rows = [0] * lattice.size
+    for z in carrier[1:]:
+        up = [a for a, x in enumerate(carrier) if is_subset(z, x)]
+        mask = sum(1 << a for a in up)
+        for a in up:
+            rows[a] |= mask
+    return tuple(rows)
 
 
 def images_over_scan(

@@ -330,6 +330,121 @@ def test_verify_certificate_bounds_separator_level(monkeypatch, tmp_path, capsys
     assert "Traceback" not in err
 
 
+def _sn_certificate(tmp_path, n):
+    out = tmp_path / f"sn{n}.json"
+    assert main(["sn", "--n", str(n), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_verify_certificate_requires_every_sn_entry(tmp_path, capsys):
+    cert = _sn_certificate(tmp_path, 2)
+    keys = certificates.sn_entry_keys(2)
+    assert len(cert["entries"]) == len(keys) == 14
+    for pos, (kind, name, params) in enumerate(keys):
+        dropped = json.loads(json.dumps(cert))
+        entry = dropped["entries"].pop(pos)
+        assert (entry["kind"], entry.get("params", {})) == (kind, params)
+        problems = verify_certificate(dropped)
+        assert len(problems) == 1, (pos, problems)
+        assert problems[0].startswith(f"missing {kind} entry {name}"), problems
+        path = tmp_path / f"dropped{pos}.json"
+        path.write_text(json.dumps(dropped))
+        capsys.readouterr()
+        assert main(["verify-certificate", str(path)]) == 1
+        assert capsys.readouterr().out == problems[0] + "\n"
+
+
+def test_verify_certificate_refuses_a_separator_without_its_level_n_failure(tmp_path):
+    # The d2 failure at level 3 and its witness check deleted: the remaining
+    # entries all meet their expectations, so conclusion.ok still holds.
+    cert = _sn_certificate(tmp_path, 3)
+    cert["entries"] = [
+        e
+        for e in cert["entries"]
+        if not (e["kind"] == "witness-check" or e.get("params") == {"n": 3})
+    ]
+    assert certificates.conclusion_ok(cert["entries"]) is cert["conclusion"]["ok"] is True
+    assert verify_certificate(cert) == [
+        'missing axiom entry d2 {"n": 3}',
+        'missing witness-check entry d2 {"n": 3}',
+    ]
+
+
+def test_verify_certificate_refuses_empty_entries(s2_file, tmp_path, capsys):
+    runs = {
+        "sn": (["sn", "--n", "2"], 14),
+        "check": (["check", s2_file, "d2", "--n", "2"], 1),
+        "represent": (["represent", s2_file, "--mode", "overlap"], 1),
+    }
+    for command, (argv, missing) in runs.items():
+        out = tmp_path / f"{command}.json"
+        main(argv + ["--out", str(out)])
+        cert = json.loads(out.read_text())
+        assert cert["command"] == command
+        cert["entries"] = []
+        cert["conclusion"]["ok"] = True
+        problems = verify_certificate(cert)
+        assert len(problems) == missing
+        assert all(p.startswith("missing ") for p in problems)
+        out.write_text(json.dumps(cert))
+        capsys.readouterr()
+        assert main(["verify-certificate", str(out)]) == 1
+    check = json.loads((tmp_path / "check.json").read_text())
+    assert verify_certificate(check) == ["missing axiom entry d2"]
+    represent = json.loads((tmp_path / "represent.json").read_text())
+    assert verify_certificate(represent) == ["missing representation entry overlap"]
+
+
+def test_verify_certificate_requires_the_named_axiom_and_mode(s2_file, tmp_path):
+    for argv, key, other in (
+        (["check", s2_file, "d1"], "axiom", "d2"),
+        (["represent", s2_file, "--mode", "weak"], "mode", "overlap"),
+    ):
+        out = tmp_path / "cert.json"
+        main(argv + ["--out", str(out)])
+        cert = json.loads(out.read_text())
+        cert["parameters"][key] = other
+        kind = cert["entries"][0]["kind"]
+        assert verify_certificate(cert) == [f"missing {kind} entry {other}"]
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda cert: cert.update(command="enumerate"), "command"),
+        (lambda cert: cert.update(version=True), "version"),
+        (lambda cert: cert.update(parameters=[2]), "parameters"),
+        (lambda cert: cert["parameters"].update(n=True), "parameters.n"),
+    ],
+    ids=["unknown-command", "version-true", "parameters-not-an-object", "n-true"],
+)
+def test_verify_certificate_schema_errors(tmp_path, capsys, mutate, field):
+    cert = _sn_certificate(tmp_path, 2)
+    mutate(cert)
+    out = tmp_path / "bad.json"
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    err = _assert_input_error(["verify-certificate", str(out)], capsys)
+    assert err.startswith(f"input error: {field}:")
+
+
+def test_check_refuses_boolean_indices_and_writes_no_certificate(s2_file, tmp_path, capsys):
+    raw = json.loads(open(s2_file).read())
+    for field, mutate in (
+        ("ground_size", lambda d: d.update(ground_size=True)),
+        ("roles['gen_1']", lambda d: d["roles"].update(gen_1=True)),
+    ):
+        payload = json.loads(json.dumps(raw))
+        mutate(payload)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "cert.json"
+        capsys.readouterr()
+        err = _assert_input_error(["check", str(path), "d1", "--out", str(out)], capsys)
+        assert err.startswith(f"input error: {field}:")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_matches_canonical_construction_agrees_with_payload_equality(tmp_path, n):
     """The field-wise verdict equals comparing the rebuilt separator's whole
@@ -415,6 +530,7 @@ def _assert_input_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error:")
     assert "Traceback" not in err
+    return err
 
 
 def test_check_and_represent_refuse_a_relation_that_is_not_a_weak_contact(
@@ -480,9 +596,10 @@ def test_check_and_represent_refuse_a_separator_missing_one_contact_pair(
         lambda cert: cert["entries"].append(3),
         lambda cert: cert.update(conclusion=[]),
         lambda cert: cert["entries"].append({"fact": "ground_size", "expected": 4}),
+        lambda cert: cert["entries"].append({"kind": ["fact"], "fact": "ground_size"}),
     ],
     ids=["entries-not-a-list", "entry-not-an-object", "conclusion-not-an-object",
-         "entry-without-kind"],
+         "entry-without-kind", "kind-not-a-string"],
 )
 def test_verify_certificate_malformed_entries(tmp_path, capsys, mutate):
     out = tmp_path / "sn2.json"

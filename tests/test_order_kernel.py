@@ -1,12 +1,16 @@
-"""The per-point order kernel agrees with the pair scans it replaces.
+"""The irreducible-basis order kernel agrees with the pair scans it replaces.
 
-``FiniteJoinSemilattice`` folds ``point_masks`` into ``leq_masks`` and
-``below_masks``, checks union-closure on the union-irreducibles only, and
-``ambient_extension_facts`` asks ``ambient_related`` only about disjoint
-related pairs.  ``scan_oracles`` keeps the pair-by-pair versions; masks,
-verdicts, error text and facts must match them exactly.
+``FiniteJoinSemilattice.basis`` finds the union-irreducibles and their
+up-sets in one walk of the sorted carrier; ``leq_masks``, ``below_masks``,
+``meeting``, ``union_irreducibles``, the union-closure check and
+``overlap_contact`` are folds of it, and ``ambient_extension_facts`` asks
+``ambient_related`` only about disjoint related pairs.  ``scan_oracles``
+keeps the pair-by-pair versions; masks, irreducibles, overlap rows, verdicts,
+error text and facts must match them exactly, on carriers far wider than
+they are large too.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -24,6 +28,7 @@ from contactlab.core import (
     ContactStructure,
     FiniteJoinSemilattice,
     join_closure,
+    overlap_contact,
 )
 from contactlab.enumeration import enumerate_semilattices
 
@@ -32,11 +37,12 @@ def assert_masks_agree(lattice):
     fresh = FiniteJoinSemilattice.from_closed_carrier(lattice.width, lattice.carrier)
     assert fresh.leq_masks == scan_oracles.leq_masks_scan(fresh)
     assert fresh.below_masks == scan_oracles.below_masks_scan(fresh)
-    for k, members in enumerate(fresh.point_masks):
-        assert members == sum(
+    for k in range(fresh.width):
+        assert fresh.meeting(1 << k) == sum(
             1 << i for i, bits in enumerate(fresh.carrier) if (bits >> k) & 1
         )
-    assert len(fresh.point_masks) == fresh.width
+    assert fresh.union_irreducibles() == scan_oracles.union_irreducibles_scan(fresh)
+    assert overlap_contact(fresh).rows == scan_oracles.overlap_contact_scan(fresh)
 
 
 def outcome(width, carrier):
@@ -86,15 +92,26 @@ def test_masks_and_closure_agree_on_powersets(width):
     assert lattice.union_irreducibles() == tuple(1 << k for k in range(width))
 
 
+def test_masks_and_closure_agree_on_a_family_wider_than_it_is_large():
+    rng = random.Random(1000)
+    lattice = join_closure(1000, [rng.getrandbits(1000) for _ in range(5)])
+    assert (lattice.size, len(lattice.union_irreducibles())) == (32, 5)
+    assert_masks_agree(lattice)
+    assert_closure_agrees(1000, lattice.carrier)
+    for dropped in (1, lattice.top - 1, lattice.top):
+        carrier = lattice.carrier[:dropped] + lattice.carrier[dropped + 1 :]
+        assert_closure_agrees(1000, carrier)
+
+
 def test_edge_carriers():
     for width in (0, 3):
         lattice = FiniteJoinSemilattice(width, (0,))
-        assert lattice.point_masks == (0,) * width
+        assert all(lattice.meeting(1 << k) == 0 for k in range(width))
         assert lattice.leq_masks == lattice.below_masks == (1,)
         assert lattice.union_irreducibles() == ()
     # Ground points 0, 1 and 3 lie in no element, and the top is not full.
     lattice = FiniteJoinSemilattice(5, (0, 0b00100, 0b10000, 0b10100))
-    assert lattice.point_masks == (0, 0, 0b1010, 0, 0b1100)
+    assert [lattice.meeting(1 << k) for k in range(5)] == [0, 0, 0b1010, 0, 0b1100]
     assert_masks_agree(lattice)
     assert lattice.subsets_of(0b00111) == 0b0011
     assert lattice.meeting(0b01011) == 0

@@ -105,6 +105,26 @@ def test_schema_errors_name_the_field(sep2, mutate, field):
     assert field.split("[")[0] in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: d.update(version=True), "version"),
+        (lambda d: d.update(ground_size=True), "ground_size"),
+        (lambda d: d["contact"][0].__setitem__(0, True), "contact[0]"),
+        (lambda d: d["roles"].update(gen_1=True), "roles['gen_1']"),
+    ],
+    ids=["version", "ground-size", "contact-index", "role-index"],
+)
+def test_booleans_are_refused_where_ints_are_expected(sep2, mutate, field):
+    # JSON true equals 1 in Python and was once read as that int.
+    payload = base_payload(sep2)
+    assert payload["contact"][0][0] == 1
+    mutate(payload)
+    with pytest.raises(SchemaError) as err:
+        structure_from_json(payload)
+    assert str(err.value).startswith(f"{field}:")
+
+
 def load_outcome(payload):
     """Rows and roles of a loaded payload, or the text of its SchemaError."""
     try:
@@ -132,7 +152,7 @@ def test_loader_agrees_with_two_pass_oracle_on_mutations(sep2, mutate, field):
     [
         [],
         [[1, 2], [1, 3]],
-        [[True, 2], [1, 3]],  # JSON true in a pair loads as 1
+        [[True, 2], [1, 3]],  # JSON true in a pair is refused, not read as 1
         [[1, 3], [1, 2]],
         [[1, 2], [True, 2]],
         [[1, 3], [1, 2], [1, "x"]],  # a late type error after an early disorder
