@@ -128,11 +128,14 @@ class Witness:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Witness":
-        return cls(
-            kind=data["kind"],
-            elements=tuple((str(k), int(v)) for k, v in data["elements"].items()),
-            pairs=tuple((int(i), int(j)) for i, j in data["pairs"]),
-        )
+        """The witness of ``to_json``; ValueError unless every index is an
+        int (``type(v) is int``: not a bool, a float or a string)."""
+        elements = tuple((str(k), v) for k, v in data["elements"].items())
+        pairs = tuple((i, j) for i, j in data["pairs"])
+        indices = [v for _, v in elements] + [v for pair in pairs for v in pair]
+        if any(type(v) is not int for v in indices):
+            raise ValueError(f"witness indices must be ints, got {data!r}")
+        return cls(kind=data["kind"], elements=elements, pairs=pairs)
 
 
 @dataclass(frozen=True)

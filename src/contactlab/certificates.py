@@ -4,8 +4,14 @@ A certificate embeds the structure it talks about, the checks that were run,
 their verdicts and witnesses, and the command's expectations.  Verification
 re-derives every entry from the embedded structure alone, so a certificate
 can be audited without trusting the process that wrote it, and requires every
-entry its command writes, so none can be dropped.  Wall-clock stats are
-recorded but excluded from comparison.
+entry its command writes, so none can be dropped.  Every int an entry
+records must be a JSON integer, refused by type before anything is compared.
+Wall-clock stats are recorded but excluded from comparison.
+
+The embedded structure's text is written once, from the relation rows
+(``serialize.structure_dumps``): its SHA-256 is taken of that text, and the
+certificate embeds the same text.  Verification writes the text again from
+the loaded rows and the payload's other fields.
 
 Separator certificates carry facts about the minimal contact on the ambient
 powerset, derived lazily for every n (``separator_extension_facts``).
@@ -39,10 +45,12 @@ from .representation import (
 )
 from .serialize import (
     SCHEMA_VERSION,
+    CanonicalText,
     SchemaError,
+    loaded_structure_dumps,
     mask_to_hex,
+    structure_dumps,
     structure_from_json,
-    structure_to_json,
     structure_sha256,
 )
 
@@ -237,14 +245,17 @@ def build_certificate(
     entries: list[dict[str, Any]],
     started: float,
 ) -> dict[str, Any]:
-    payload = structure_to_json(cs, roles)
+    """The certificate as a JSON object for ``canonical_dumps``.  Its
+    structure is written once (``structure_dumps``): the SHA-256 is taken of
+    that text, and ``canonical_dumps`` splices the same text in."""
+    text = structure_dumps(cs, roles)
     return {
         "version": SCHEMA_VERSION,
         "tool": f"contactlab {__version__}",
         "command": command,
         "parameters": parameters,
-        "structure": payload,
-        "structure_sha256": structure_sha256(payload),
+        "structure": CanonicalText(text),
+        "structure_sha256": structure_sha256(text),
         "entries": entries,
         "conclusion": {"ok": conclusion_ok(entries)},
         "stats": {"elapsed_s": round(time.perf_counter() - started, 6)},
@@ -265,6 +276,39 @@ def certificate_entries(cert: dict[str, Any]) -> list[dict[str, Any]]:
         if not isinstance(entry, dict) or not isinstance(entry.get("kind"), str):
             raise SchemaError(f"entries[{pos}]: expected an object with a kind")
     return entries
+
+
+def _items(value: Any, field: str) -> list[tuple[str, Any]]:
+    """(field, item) per value of an object or item of a list."""
+    if isinstance(value, dict):
+        return [(f"{field}.{key}", item) for key, item in value.items()]
+    if isinstance(value, list):
+        return [(f"{field}[{pos}]", item) for pos, item in enumerate(value)]
+    return []
+
+
+def _recorded_ints(entry: dict[str, Any], label: str) -> list[tuple[str, Any]]:
+    """(field, value) of every int ``entry`` records: its params, its
+    witness's element indices and pairs, a fact's value and expectation, and
+    a representation's ground size, columns and obstruction elements."""
+    kind = entry["kind"]
+    fields = _items(entry.get("params"), f"{label}.params")
+    witness = entry.get("witness")
+    if isinstance(witness, dict):
+        fields += _items(witness.get("elements"), f"{label}.witness.elements")
+        for field, pair in _items(witness.get("pairs"), f"{label}.witness.pairs"):
+            fields += _items(pair, field)
+    if kind == "fact":
+        fields.append((f"{label}.value", entry.get("value")))
+        if entry.get("expected") is not None:
+            fields.append((f"{label}.expected", entry["expected"]))
+    payload = entry.get("payload")
+    if kind == "representation" and isinstance(payload, dict):
+        if "ground_size" in payload:
+            fields.append((f"{label}.payload.ground_size", payload["ground_size"]))
+        for name in ("columns", "elements"):
+            fields += _items(payload.get(name), f"{label}.payload.{name}")
+    return fields
 
 
 def _strip_stats(entry: dict[str, Any]) -> dict[str, Any]:
@@ -325,10 +369,17 @@ def verify_certificate(cert: Any) -> list[str]:
                 f"parameters.n: a separator certificate needs an int in "
                 f"2..{SN_CERTIFICATE_CAP}, got {n!r}"
             )
+    # Python's == takes true and 12.0 for 1 and 12, so the recorded ints are
+    # refused by type before anything is compared with them.
+    for pos, entry in enumerate(entries):
+        for field, value in _recorded_ints(entry, f"entries[{pos}]"):
+            if type(value) is not int:
+                raise SchemaError(f"{field}: expected an int, got {value!r}")
     problems += missing_entries(cert["command"], params, entries)
 
     cs, _roles = structure_from_json(cert["structure"])
-    if structure_sha256(cert["structure"]) != cert["structure_sha256"]:
+    digest = structure_sha256(loaded_structure_dumps(cert["structure"], cs))
+    if digest != cert["structure_sha256"]:
         problems.append("structure_sha256 does not match the embedded structure")
 
     sep: SeparatorStructure | None = None
@@ -345,9 +396,9 @@ def verify_certificate(cert: Any) -> list[str]:
         label = f"entries[{pos}]"
         try:
             if kind == "axiom":
-                params = {k: int(v) for k, v in entry.get("params", {}).items()}
                 fresh = axiom_entry(
-                    CHECKERS[entry["axiom"]](cs, params), entry.get("expected")
+                    CHECKERS[entry["axiom"]](cs, entry.get("params", {})),
+                    entry.get("expected"),
                 )
                 if _strip_stats(fresh) != _strip_stats(entry):
                     problems.append(f"{label}: {entry['axiom']} does not reproduce")

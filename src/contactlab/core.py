@@ -307,12 +307,6 @@ class FiniteJoinSemilattice:
             out.append(meet)
         return tuple(out)
 
-    def union_irreducibles(self) -> tuple[int, ...]:
-        """Indices of the elements that are not the union of the elements
-        strictly below them (``basis``): on a union-closed carrier the
-        join-irreducibles, on a separator its 2n + 2 designated atoms."""
-        return tuple(g for g, _, _ in self.basis)
-
 
 def join_closure(width: int, generators: list[Bits] | tuple[Bits, ...]) -> FiniteJoinSemilattice:
     """Smallest union-closed family containing the generators and the empty set."""

@@ -19,10 +19,22 @@ round trip is byte-exact and files can be compared directly.
 Byte contract: ``canonical_dumps(x)`` is exactly
 ``json.dumps(x, indent=2, sort_keys=True) + "\n"``.  It is written by a small
 recursive writer rather than the pure-Python indenting encoder: strings and
-scalars go through the ``json`` C helpers, and a list of pairs of plain ints
-(``type(v) is int``, so booleans are excluded) is formatted in bulk with one
-``%`` template.  Anything else (empty containers, tuples, subclasses, non-str
-keys) is handed to ``json.dumps`` itself and re-indented.
+scalars go through the ``json`` C helpers, and anything else (empty
+containers, tuples, subclasses, non-str keys) is handed to ``json.dumps``
+itself and re-indented.  Its only raw newlines are indentation, since strings
+are escaped, so text it wrote can be spliced into a larger value by
+re-indenting it (``CanonicalText``).
+
+``structure_dumps(cs, roles)`` is, byte for byte,
+``canonical_dumps(structure_to_json(cs, roles))``, written from the relation
+rows without building the pair list: each row's partners above its own index
+are picked from the row's bit string in C and joined with the pair template
+in one ``str.join``, and the whole text is joined once.  A certificate hashes
+that text (``structure_sha256``) and embeds the same text, so its structure
+is formatted once.  ``loaded_structure_dumps`` writes a loaded payload's text
+the same way, from the rows and the payload's other fields, when the
+certificate is verified: the loader accepts only the one pair list the rows
+determine, so the text is ``canonical_dumps`` of the payload as read.
 
 Indices, counts and the version are plain ints (``type(v) is int``, as the
 writer has it): JSON ``true`` and ``false`` are refused, naming the field.
@@ -39,7 +51,7 @@ from __future__ import annotations
 import json
 import hashlib
 import re
-from itertools import chain
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
@@ -72,6 +84,17 @@ def canonical_dumps(payload: dict[str, Any]) -> str:
     return _encode(payload, "\n") + "\n"
 
 
+class CanonicalText:
+    """``canonical_dumps`` output (final newline included) standing for the
+    value it encodes: ``canonical_dumps`` splices it into a larger value,
+    re-indented, instead of encoding that value again."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
 def _encode(value: Any, newline: str) -> str:
     """``value`` as indented JSON; ``newline`` is "\\n" plus the indent of
     the line ``value`` starts on."""
@@ -82,17 +105,11 @@ def _encode(value: Any, newline: str) -> str:
         return int.__repr__(value)
     if kind is float or kind is bool or value is None:
         return _encode_scalar(value)
+    if kind is CanonicalText:
+        return value.text[:-1].replace("\n", newline)
     inner = newline + "  "
     if kind is list and value:
-        sep = "," + inner
-        if set(map(type, value)) == {list} and set(map(len, value)) == {2} and (
-            set(map(type, flat := tuple(chain.from_iterable(value)))) == {int}
-        ):
-            deeper = inner + "  "
-            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
-            body = sep.join([pair] * len(value)) % flat
-        else:
-            body = sep.join([_encode(item, inner) for item in value])
+        body = ("," + inner).join([_encode(item, inner) for item in value])
         return "[" + inner + body + newline + "]"
     if kind is dict and value and set(map(type, value)) == {str}:
         body = ("," + inner).join(
@@ -104,23 +121,100 @@ def _encode(value: Any, newline: str) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
-def structure_to_json(
-    cs: ContactStructure, roles: dict[str, int] | None = None
+# bin() digits to compress() selectors: b"0" -> 0 (skip), b"1" -> 1 (keep).
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+_names: list[str] = []
+
+
+def _index_names(size: int) -> list[str]:
+    """``str(k)`` for at least every k < size, kept for the next call: a
+    small structure's names cost a slice instead of a str() per index."""
+    global _names
+    names = _names
+    if len(names) < size:
+        names = _names = list(map(str, range(max(size, 64))))
+    return names
+
+
+def _contact_pieces(rows: tuple[int, ...], newline: str) -> list[str]:
+    """The encoded ``"contact"`` list of ``structure_to_json`` for ``rows``,
+    in pieces to be joined, starting on a line whose newline and indent are
+    ``newline``."""
+    inner, deeper = newline + "  ", newline + "    "
+    # Pair [i, j] is "[" deeper i "," deeper j inner "]"; a comma and inner
+    # part it from the next pair.
+    between = inner + "]," + inner + "[" + deeper
+    names = _index_names(len(rows))
+    pieces = ["[" + inner + "[" + deeper]
+    for i, row in enumerate(rows):
+        above = row >> (i + 1)
+        if above:
+            # Row i's partners j > i, read off its bit string in C.
+            head = names[i] + "," + deeper
+            selectors = bin(above)[:1:-1].encode().translate(_SELECTORS)
+            partners = compress(names[i + 1 :], selectors)
+            pieces += head, (between + head).join(partners), between
+    if len(pieces) == 1:
+        return ["[]"]
+    pieces[-1] = inner + "]" + newline + "]"
+    return pieces
+
+
+def _structure_dumps(fields: dict[str, Any], rows: tuple[int, ...]) -> str:
+    """``canonical_dumps`` of ``fields`` (str keys, no ``"contact"``) plus
+    the contact list of ``rows``, joined once."""
+    pieces = []
+    for key in sorted([*fields, "contact"]):
+        pieces.append(("," if pieces else "{") + "\n  " + _encode_str(key) + ": ")
+        if key == "contact":
+            pieces += _contact_pieces(rows, "\n  ")
+        else:
+            pieces.append(_encode(fields[key], "\n  "))
+    pieces.append("\n}\n")
+    return "".join(pieces)
+
+
+def structure_dumps(cs: ContactStructure, roles: dict[str, int] | None = None) -> str:
+    """``canonical_dumps(structure_to_json(cs, roles))``, written from the
+    relation rows."""
+    return _structure_dumps(_structure_fields(cs, roles), cs.contact.rows)
+
+
+def loaded_structure_dumps(raw: dict[str, Any], cs: ContactStructure) -> str:
+    """``canonical_dumps(raw)`` for a payload that ``structure_from_json``
+    loaded as ``cs``, with the contact list written from the rows: the loader
+    accepts only the sorted, duplicate-free ``i < j`` list they determine."""
+    fields = {key: value for key, value in raw.items() if key != "contact"}
+    return _structure_dumps(fields, cs.contact.rows)
+
+
+def _structure_fields(
+    cs: ContactStructure, roles: dict[str, int] | None
 ) -> dict[str, Any]:
+    """Every field of the structure's payload but ``"contact"``."""
     lattice = cs.lattice
-    payload: dict[str, Any] = {
+    fields: dict[str, Any] = {
         "version": SCHEMA_VERSION,
         "ground_size": lattice.width,
         "carrier": [mask_to_hex(bits, lattice.width) for bits in lattice.carrier],
         "zero": 0,
-        "contact": [
-            [i, i + 1 + j]
-            for i, row in enumerate(cs.contact.rows)
-            for j in iter_bits(row >> (i + 1))
-        ],
     }
     if roles is not None:
-        payload["roles"] = {name: roles[name] for name in sorted(roles)}
+        fields["roles"] = {name: roles[name] for name in sorted(roles)}
+    return fields
+
+
+def structure_to_json(
+    cs: ContactStructure, roles: dict[str, int] | None = None
+) -> dict[str, Any]:
+    payload = _structure_fields(cs, roles)
+    payload["contact"] = [
+        [i, i + 1 + j]
+        for i, row in enumerate(cs.contact.rows)
+        for j in iter_bits(row >> (i + 1))
+    ]
     return payload
 
 
@@ -198,8 +292,11 @@ def _contact_rows(raw_contact: Any, size: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def structure_sha256(payload: dict[str, Any]) -> str:
-    return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
+def structure_sha256(payload: dict[str, Any] | str) -> str:
+    """SHA-256 of a structure's canonical text, given as its payload or as
+    the text itself (``structure_dumps``)."""
+    text = payload if type(payload) is str else canonical_dumps(payload)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def load_json_file(path: str) -> Any:

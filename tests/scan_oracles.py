@@ -783,6 +783,13 @@ def below_masks_scan(lattice: FiniteJoinSemilattice) -> tuple[int, ...]:
     return tuple(out)
 
 
+def union_irreducibles(lattice: FiniteJoinSemilattice) -> tuple[int, ...]:
+    """Indices of the union-irreducibles as ``FiniteJoinSemilattice.basis``
+    lists them: on a union-closed carrier the join-irreducibles, on a
+    separator its 2n + 2 designated atoms."""
+    return tuple(g for g, _, _ in lattice.basis)
+
+
 def union_irreducibles_scan(lattice: FiniteJoinSemilattice) -> tuple[int, ...]:
     """The elements that are not the union of the elements strictly below
     them, each tested against every other element."""

@@ -2,12 +2,13 @@
 
 ``FiniteJoinSemilattice.basis`` finds the union-irreducibles and their
 up-sets in one walk of the sorted carrier; ``leq_masks``, ``below_masks``,
-``meeting``, ``union_irreducibles``, the union-closure check and
-``overlap_contact`` are folds of it, and ``ambient_extension_facts`` asks
-``ambient_related`` only about disjoint related pairs.  ``scan_oracles``
-keeps the pair-by-pair versions; masks, irreducibles, overlap rows, verdicts,
-error text and facts must match them exactly, on carriers far wider than
-they are large too.
+``meeting``, the union-closure check and ``overlap_contact`` are folds of
+it, and ``ambient_extension_facts`` asks ``ambient_related`` only about
+disjoint related pairs.  ``scan_oracles`` keeps the pair-by-pair versions;
+masks, irreducibles (``basis``'s indices, read by
+``scan_oracles.union_irreducibles``), overlap rows, verdicts, error text and
+facts must match them exactly, on carriers far wider than they are large
+too.
 """
 
 import random
@@ -41,7 +42,8 @@ def assert_masks_agree(lattice):
         assert fresh.meeting(1 << k) == sum(
             1 << i for i, bits in enumerate(fresh.carrier) if (bits >> k) & 1
         )
-    assert fresh.union_irreducibles() == scan_oracles.union_irreducibles_scan(fresh)
+    irreducibles = scan_oracles.union_irreducibles(fresh)
+    assert irreducibles == scan_oracles.union_irreducibles_scan(fresh)
     assert overlap_contact(fresh).rows == scan_oracles.overlap_contact_scan(fresh)
 
 
@@ -74,7 +76,7 @@ def test_masks_and_closure_agree_on_separators(n):
     lattice = sep.structure.lattice
     assert_masks_agree(lattice)
     assert_closure_agrees(lattice.width, lattice.carrier)
-    assert lattice.union_irreducibles() == scan_oracles.generator_indices(sep)
+    assert scan_oracles.union_irreducibles(lattice) == scan_oracles.generator_indices(sep)
     # Dropping an atom keeps the carrier union-closed; dropping the top or
     # a reducible element does not, and the error names the scan's first gap.
     for dropped in (sep.even_product, lattice.top, lattice.top - 1):
@@ -89,13 +91,13 @@ def test_masks_and_closure_agree_on_powersets(width):
     lattice = powerset_lattice(width)
     assert_masks_agree(lattice)
     assert_closure_agrees(width, lattice.carrier)
-    assert lattice.union_irreducibles() == tuple(1 << k for k in range(width))
+    assert scan_oracles.union_irreducibles(lattice) == tuple(1 << k for k in range(width))
 
 
 def test_masks_and_closure_agree_on_a_family_wider_than_it_is_large():
     rng = random.Random(1000)
     lattice = join_closure(1000, [rng.getrandbits(1000) for _ in range(5)])
-    assert (lattice.size, len(lattice.union_irreducibles())) == (32, 5)
+    assert (lattice.size, len(scan_oracles.union_irreducibles(lattice))) == (32, 5)
     assert_masks_agree(lattice)
     assert_closure_agrees(1000, lattice.carrier)
     for dropped in (1, lattice.top - 1, lattice.top):
@@ -108,7 +110,7 @@ def test_edge_carriers():
         lattice = FiniteJoinSemilattice(width, (0,))
         assert all(lattice.meeting(1 << k) == 0 for k in range(width))
         assert lattice.leq_masks == lattice.below_masks == (1,)
-        assert lattice.union_irreducibles() == ()
+        assert scan_oracles.union_irreducibles(lattice) == ()
     # Ground points 0, 1 and 3 lie in no element, and the top is not full.
     lattice = FiniteJoinSemilattice(5, (0, 0b00100, 0b10000, 0b10100))
     assert [lattice.meeting(1 << k) for k in range(5)] == [0, 0, 0b1010, 0, 0b1100]
