@@ -51,6 +51,5 @@ from .enumeration import (
     classify_corpus,
     enumerate_contacts,
     enumerate_semilattices,
-    find_minimal_separators,
     iso_class_key,
 )

@@ -1,12 +1,16 @@
 """Self-contained check certificates and their re-verification.
 
 A certificate embeds the structure it talks about, the checks that were run,
-their verdicts and witnesses, and the command's expectations.  Verification
-re-derives every entry from the embedded structure alone, so a certificate
-can be audited without trusting the process that wrote it, and requires every
-entry its command writes, so none can be dropped.  Every int an entry
-records must be a JSON integer, refused by type before anything is compared.
-Wall-clock stats are recorded but excluded from comparison.
+their verdicts and witnesses, and the command's expectations.  Every entry
+has one derivation, ``derive_entry``, from its key (kind, name, params,
+expectation, and a witness check's witness): ``sn``, ``check`` and
+``represent`` write entries through it, and verification re-derives each
+recorded entry through it from the embedded structure alone and compares
+the whole entry, so a certificate can be audited without trusting the
+process that wrote it.  Verification also requires every entry its command
+writes, so none can be dropped.  Every int an entry records must be a JSON
+integer, refused by type before anything is compared.  Wall-clock stats are
+recorded but excluded from comparison.
 
 The embedded structure's text is written once, from the relation rows
 (``serialize.structure_dumps``): its SHA-256 is taken of that text, and the
@@ -19,19 +23,13 @@ powerset, derived lazily for every n (``separator_extension_facts``).
 
 from __future__ import annotations
 
+import functools
 import json
 import time
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
-from .axioms import (
-    CHECKERS,
-    Verdict,
-    Witness,
-    check_d1,
-    check_d2,
-    revalidate_witness,
-)
+from .axioms import CHECKERS, Witness, revalidate_witness
 from .constructions import (
     SeparatorStructure,
     ambient_extension_facts,
@@ -48,7 +46,7 @@ from .serialize import (
     CanonicalText,
     SchemaError,
     loaded_structure_dumps,
-    mask_to_hex,
+    matches_canonical_construction,
     structure_dumps,
     structure_from_json,
     structure_sha256,
@@ -102,82 +100,48 @@ def separator_extension_facts(sep: SeparatorStructure) -> dict[str, bool]:
     }
 
 
-def matches_canonical_construction(
-    raw: dict[str, Any], cs: ContactStructure, sep: SeparatorStructure
-) -> bool:
-    """Whether ``raw``, a structure payload that ``structure_from_json``
-    loaded as ``cs``, equals ``structure_to_json(sep.structure, sep.roles)``,
-    without building that payload (1.4M pairs at n = 6).  The loader has
-    fixed ``version`` and ``zero`` and accepts only a sorted, duplicate-free
-    pair list, which is therefore determined by the rows it yields."""
-    lattice = sep.structure.lattice
-    return (
-        raw.keys() == {"version", "ground_size", "carrier", "zero", "contact", "roles"}
-        and raw["ground_size"] == lattice.width
-        and raw["carrier"]
-        == [mask_to_hex(bits, lattice.width) for bits in lattice.carrier]
-        and raw["roles"] == sep.roles
-        and cs.contact.rows == sep.structure.contact.rows
-    )
-
-
-def decide_representation(
-    cs: ContactStructure, mode: str
-) -> tuple[str, dict[str, Any]]:
-    """(outcome, payload) of the mode's decider; a representation is
-    re-validated against the structure before it is reported."""
-    decide = (
-        decide_weak_representable if mode == "weak" else decide_overlap_representable
-    )
-    result = decide(cs)
-    if isinstance(result, Representation):
-        result.validate(cs)
-        return "success", result.to_json()
-    return "refusal", result.to_json()
-
-
-# ---------------------------------------------------------------------------
-# entry constructors
-
-
-def axiom_entry(verdict: Verdict, expected: str | None = None) -> dict[str, Any]:
-    entry = verdict.to_json()
-    entry["kind"] = "axiom"
-    entry["expected"] = expected
-    return entry
-
-
-def fact_entry(name: str, value: Any, expected: Any = None) -> dict[str, Any]:
-    return {"kind": "fact", "fact": name, "value": value, "expected": expected}
-
-
-def witness_check_entry(
-    axiom: str, params: dict[str, int], witness: Witness, valid: bool
+def derive_entry(
+    cs: ContactStructure,
+    entry: dict[str, Any],
+    separator_facts: Callable[[], dict[str, bool]] | None = None,
 ) -> dict[str, Any]:
-    return {
-        "kind": "witness-check",
-        "axiom": axiom,
-        "params": dict(params),
-        "witness": witness.to_json(),
-        "valid": valid,
-        "expected": True,
-    }
-
-
-def separator_entry(fact: str, value: bool, expected: bool = True) -> dict[str, Any]:
-    return {"kind": "separator", "fact": fact, "value": value, "expected": expected}
-
-
-def representation_entry(
-    mode: str, outcome: str, payload: dict[str, Any]
-) -> dict[str, Any]:
-    return {
-        "kind": "representation",
-        "mode": mode,
-        "outcome": outcome,
-        "payload": payload,
-        "expected": None,
-    }
+    """The entry that ``entry``'s key derives on ``cs``: its kind, name,
+    params and expectation, and for a witness check the witness.  Every
+    writer and the verifier derive entries here.  ``separator_facts`` gives
+    the separator facts by name."""
+    kind, expected = entry["kind"], entry.get("expected")
+    params = entry.get("params", {})
+    if kind == "axiom":
+        derived = CHECKERS[entry["axiom"]](cs, params).to_json()
+    elif kind == "witness-check":
+        witness = Witness.from_json(entry["witness"])
+        derived = {
+            "axiom": entry["axiom"],
+            "params": dict(params),
+            "witness": witness.to_json(),
+            "valid": revalidate_witness(cs, entry["axiom"], params, witness),
+        }
+        expected = True  # a designated witness is there to revalidate
+    elif kind == "fact" or kind == "separator":
+        name = entry["fact"]
+        value = compute_fact(cs, name) if kind == "fact" else separator_facts()[name]
+        derived = {"fact": name, "value": value}
+    elif kind == "representation":
+        mode = entry["mode"]
+        result = (
+            decide_weak_representable if mode == "weak" else decide_overlap_representable
+        )(cs)
+        success = isinstance(result, Representation)
+        if success:
+            result.validate(cs)  # re-checked before it is reported
+        derived = {
+            "mode": mode,
+            "outcome": "success" if success else "refusal",
+            "payload": result.to_json(),
+        }
+    else:
+        raise ValueError(f"unknown entry kind {kind!r}")
+    return {"kind": kind, **derived, "expected": expected}
 
 
 def entry_matches_expectation(entry: dict[str, Any]) -> bool:
@@ -196,45 +160,65 @@ def conclusion_ok(entries: list[dict[str, Any]]) -> bool:
     return all(entry_matches_expectation(e) for e in entries)
 
 
-def sn_entry_keys(n: int) -> list[tuple[str, str, dict[str, int]]]:
-    """(kind, name, params) of each entry ``sn --n <n>`` writes, in order:
-    what ``sn_entries`` writes and ``verify_certificate`` requires."""
-    facts = ("ground_size", "carrier_size", "atom_count", "noncontact_pair_count")
+# The entry field that names each kind's axiom, fact or mode.
+_NAME_FIELD = {
+    "axiom": "axiom",
+    "witness-check": "axiom",
+    "fact": "fact",
+    "separator": "fact",
+    "representation": "mode",
+}
+
+
+def _entry_name(entry: dict[str, Any]) -> Any:
+    return entry.get(_NAME_FIELD.get(entry["kind"]))
+
+
+def sn_entry_keys(n: int) -> list[tuple[str, str, dict[str, int], Any]]:
+    """(kind, name, params, expected) of each entry ``sn --n <n>`` writes, in
+    order, expecting what the paper proves of the level-n separator: d2
+    fails at level n and nowhere below.  ``sn_entries`` writes these keys and
+    ``verify_certificate`` requires each (kind, name, params)."""
+    facts = {
+        "ground_size": None,
+        "carrier_size": None,
+        "atom_count": 2 * n + 2,
+        "noncontact_pair_count": n,
+    }
     extension = "embedding_criterion weak_contact preserves reflects nonadditive"
+    separator = ["matches_canonical_construction"]
+    separator += [f"extension_{fact}" for fact in extension.split()]
     return [
-        *(("fact", name, {}) for name in facts),
-        ("axiom", "d1", {}),
-        *(("axiom", "d2", {"n": level}) for level in range(1, n + 1)),
-        ("witness-check", "d2", {"n": n}),
-        ("separator", "matches_canonical_construction", {}),
-        *(("separator", f"extension_{fact}", {}) for fact in extension.split()),
+        *(("fact", name, {}, value) for name, value in facts.items()),
+        ("axiom", "d1", {}, "pass"),
+        *(
+            ("axiom", "d2", {"n": level}, "fail" if level == n else "pass")
+            for level in range(1, n + 1)
+        ),
+        ("witness-check", "d2", {"n": n}, True),
+        *(("separator", name, {}, True) for name in separator),
     ]
 
 
 def sn_entries(sep: SeparatorStructure) -> list[dict[str, Any]]:
-    """One entry per ``sn_entry_keys(n)``, each expecting what the paper
-    proves of the level-n separator: d2 fails at level n and nowhere below."""
-    cs, n = sep.structure, sep.n
-    expected_facts = {"atom_count": 2 * n + 2, "noncontact_pair_count": n}
-    extension: dict[str, bool] | None = None
-    entries = []
-    for kind, name, params in sn_entry_keys(n):
-        if kind == "fact":
-            value = compute_fact(cs, name)
-            entries.append(fact_entry(name, value, expected_facts.get(name)))
-        elif kind == "axiom":
-            verdict = check_d2(cs, params["n"]) if params else check_d1(cs)
-            entries.append(axiom_entry(verdict, "fail" if params == {"n": n} else "pass"))
-        elif kind == "witness-check":
-            witness = sep.expected_d2_witness()
-            valid = revalidate_witness(cs, name, params, witness)
-            entries.append(witness_check_entry(name, params, witness, valid))
-        elif name == "matches_canonical_construction":
-            entries.append(separator_entry(name, True))
-        else:
-            extension = extension or separator_extension_facts(sep)
-            entries.append(separator_entry(name, extension[name]))
-    return entries
+    """The entry of each ``sn_entry_keys(n)``; the designated witness goes
+    with every key, and only the witness check reads it."""
+    facts = {"matches_canonical_construction": True, **separator_extension_facts(sep)}
+    witness = sep.expected_d2_witness().to_json()
+    return [
+        derive_entry(
+            sep.structure,
+            {
+                "kind": kind,
+                _NAME_FIELD[kind]: name,
+                "params": params,
+                "expected": expected,
+                "witness": witness,
+            },
+            lambda: facts,
+        )
+        for kind, name, params, expected in sn_entry_keys(sep.n)
+    ]
 
 
 def build_certificate(
@@ -321,17 +305,14 @@ def missing_entries(
     """One problem line per entry the command writes that ``entries`` lacks;
     SchemaError for a command that writes no certificate."""
     if command == "sn":
-        required = sn_entry_keys(params["n"])
+        required = [key[:3] for key in sn_entry_keys(params["n"])]
     elif command == "check":
         required = [("axiom", params.get("axiom"), None)]
     elif command == "represent":
         required = [("representation", params.get("mode"), None)]
     else:
         raise SchemaError(f"command: expected sn, check or represent, got {command!r}")
-    present = [
-        (e["kind"], e.get("axiom") or e.get("fact") or e.get("mode"), e.get("params", {}))
-        for e in entries
-    ]
+    present = [(e["kind"], _entry_name(e), e.get("params", {})) for e in entries]
     problems = []
     for kind, name, keyed in required:
         if not any(
@@ -344,8 +325,8 @@ def missing_entries(
 
 
 def verify_certificate(cert: Any) -> list[str]:
-    """Re-derive every embedded check; returns the list of discrepancies."""
-    problems: list[str] = []
+    """Re-derive every recorded entry (``derive_entry``) from the embedded
+    structure; returns the list of discrepancies."""
     if not isinstance(cert, dict):
         raise SchemaError("certificate payload must be a JSON object")
     version = cert.get("version")
@@ -375,70 +356,33 @@ def verify_certificate(cert: Any) -> list[str]:
         for field, value in _recorded_ints(entry, f"entries[{pos}]"):
             if type(value) is not int:
                 raise SchemaError(f"{field}: expected an int, got {value!r}")
-    problems += missing_entries(cert["command"], params, entries)
+    problems = missing_entries(cert["command"], params, entries)
 
-    cs, _roles = structure_from_json(cert["structure"])
-    digest = structure_sha256(loaded_structure_dumps(cert["structure"], cs))
-    if digest != cert["structure_sha256"]:
+    raw = cert["structure"]
+    cs, _roles = structure_from_json(raw)
+    if structure_sha256(loaded_structure_dumps(raw, cs)) != cert["structure_sha256"]:
         problems.append("structure_sha256 does not match the embedded structure")
 
-    sep: SeparatorStructure | None = None
-    sep_facts: dict[str, bool] | None = None
-
-    def rebuilt_separator() -> SeparatorStructure:
-        nonlocal sep
-        if sep is None:
-            sep = build_separator(cert["parameters"]["n"])
-        return sep
+    @functools.cache
+    def separator_facts() -> dict[str, bool]:
+        sep = build_separator(params["n"])
+        return {
+            "matches_canonical_construction": matches_canonical_construction(
+                raw, cs, sep.structure, sep.roles
+            ),
+            **separator_extension_facts(sep),
+        }
 
     for pos, entry in enumerate(entries):
-        kind = entry["kind"]
-        label = f"entries[{pos}]"
         try:
-            if kind == "axiom":
-                fresh = axiom_entry(
-                    CHECKERS[entry["axiom"]](cs, entry.get("params", {})),
-                    entry.get("expected"),
-                )
-                if _strip_stats(fresh) != _strip_stats(entry):
-                    problems.append(f"{label}: {entry['axiom']} does not reproduce")
-            elif kind == "fact":
-                value = compute_fact(cs, entry["fact"])
-                if value != entry["value"]:
-                    problems.append(
-                        f"{label}: fact {entry['fact']} is {value}, "
-                        f"recorded {entry['value']}"
-                    )
-            elif kind == "witness-check":
-                witness = Witness.from_json(entry["witness"])
-                valid = revalidate_witness(
-                    cs, entry["axiom"], entry.get("params", {}), witness
-                )
-                if valid != entry["valid"]:
-                    problems.append(f"{label}: witness revalidation differs")
-            elif kind == "separator":
-                fact = entry["fact"]
-                if fact == "matches_canonical_construction":
-                    value = matches_canonical_construction(
-                        cert["structure"], cs, rebuilt_separator()
-                    )
-                else:
-                    if sep_facts is None:
-                        sep_facts = separator_extension_facts(rebuilt_separator())
-                    if fact not in sep_facts:
-                        problems.append(f"{label}: unknown separator fact {fact!r}")
-                        continue
-                    value = sep_facts[fact]
-                if value != entry["value"]:
-                    problems.append(f"{label}: separator fact {fact} is {value}")
-            elif kind == "representation":
-                outcome, payload = decide_representation(cs, entry["mode"])
-                if outcome != entry["outcome"] or payload != entry["payload"]:
-                    problems.append(f"{label}: representation does not reproduce")
-            else:
-                problems.append(f"{label}: unknown entry kind {kind!r}")
+            fresh = derive_entry(cs, entry, separator_facts)
         except Exception as exc:  # a broken entry should name itself, not abort
-            problems.append(f"{label}: re-derivation raised {exc!r}")
+            problems.append(f"entries[{pos}]: re-derivation raised {exc!r}")
+            continue
+        if _strip_stats(fresh) != _strip_stats(entry):
+            problems.append(
+                f"entries[{pos}]: {entry['kind']} {_entry_name(entry)} does not reproduce"
+            )
 
     recorded = conclusion.get("ok")
     if recorded is not None and recorded != conclusion_ok(entries):

@@ -20,13 +20,11 @@ from . import __version__
 from .axioms import CHECKERS, InvalidContactError, require_weak_contact
 from .certificates import (
     SN_CERTIFICATE_CAP,
-    axiom_entry,
     build_certificate,
     certificate_entries,
     conclusion_ok,
-    decide_representation,
+    derive_entry,
     entry_matches_expectation,
-    representation_entry,
     sn_entries,
     verify_certificate,
 )
@@ -140,30 +138,28 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.axiom != "weak-contact":
         require_weak_contact(cs)
     params = {"n": args.n} if args.n is not None else {}
-    verdict = CHECKERS[args.axiom](cs, params)
-    entries = [axiom_entry(verdict)]
-    _print_entries(entries)
-    if verdict.witness is not None:
-        print(f"witness: {json.dumps(verdict.witness.to_json(), sort_keys=True)}")
+    entry = derive_entry(cs, {"kind": "axiom", "axiom": args.axiom, "params": params})
+    _print_entries([entry])
+    if entry["witness"] is not None:
+        print(f"witness: {json.dumps(entry['witness'], sort_keys=True)}")
     _write_certificate(
         args.out, "check", {"axiom": args.axiom, **params}, cs, roles or None,
-        entries, started,
+        [entry], started,
     )
-    return 0 if verdict.passed else 1
+    return 0 if entry["verdict"] == "pass" else 1
 
 
 def cmd_represent(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     cs, roles = load_structure_file(args.input)
-    outcome, payload = decide_representation(cs, args.mode)
-    entries = [representation_entry(args.mode, outcome, payload)]
-    _print_entries(entries)
-    if outcome == "refusal":
-        print(f"obstruction: {json.dumps(payload, sort_keys=True)}")
+    entry = derive_entry(cs, {"kind": "representation", "mode": args.mode})
+    _print_entries([entry])
+    if entry["outcome"] == "refusal":
+        print(f"obstruction: {json.dumps(entry['payload'], sort_keys=True)}")
     _write_certificate(
-        args.out, "represent", {"mode": args.mode}, cs, roles or None, entries, started
+        args.out, "represent", {"mode": args.mode}, cs, roles or None, [entry], started
     )
-    return 0 if outcome == "success" else 1
+    return 0 if entry["outcome"] == "success" else 1
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

@@ -180,21 +180,6 @@ class ContactMap:
                     )
 
 
-def identity_map(cs: ContactStructure) -> ContactMap:
-    return ContactMap(cs, cs.lattice, tuple(range(cs.size)))
-
-
-def inclusion_into_ambient(sep: SeparatorStructure) -> ContactMap:
-    """Inclusion of the separator carrier into the ambient powerset algebra.
-
-    The powerset carrier sorted by bit pattern is the identity enumeration,
-    so the image index of an element is its own bit mask.
-    """
-    target = powerset_lattice(sep.algebra.width)
-    kappa = tuple(bits for bits in sep.structure.lattice.carrier)
-    return ContactMap(sep.structure, target, kappa)
-
-
 def min_contact_extension(cmap: ContactMap) -> ContactRelation:
     """Least weak contact on the target making the map a contact homomorphism.
 

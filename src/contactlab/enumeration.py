@@ -32,8 +32,8 @@ class, and its orbit is marked seen and keyed.
 
 A class is profiled where it is found: ``profile_of`` to one depth plus both
 representation deciders, lattice by lattice, in the calling process or in a
-worker.  Every reader of the corpus (the ``enumerate`` files, the
-implication report, ``find_minimal_separators``) reads those flags.
+worker.  Every reader of the corpus (the ``enumerate`` files and the
+implication report) reads those flags.
 """
 
 from __future__ import annotations
@@ -146,12 +146,6 @@ def _least_relabelling(
         elif order < least:
             least, best = order, p
     return least, best, automorphisms
-
-
-def _automorphisms(lattice: FiniteJoinSemilattice) -> list[list[int]]:
-    """The non-identity automorphisms of the lattice: the permutations within
-    groups of equal (up-count, down-count) that fix ``leq_masks``."""
-    return _least_relabelling(lattice.leq_masks)[2]
 
 
 def _canonical_le(le: tuple[int, ...]) -> tuple[int, ...]:
@@ -397,23 +391,6 @@ def classify_corpus(max_size: int, depth: int = 3, threads: int = 1) -> list[Cor
     records = [record for chunk in chunks for record in chunk]
     records.sort(key=lambda r: (r.structure.size, r.key))
     return records
-
-
-def find_minimal_separators(max_size: int, n: int) -> list[CorpusRecord]:
-    """Smallest-carrier classes passing d1 whose least failing d2 level is n,
-    read off the corpus profiled to depth n.  Empty means no separator exists
-    up to max_size."""
-    if n < 2:
-        raise ValueError(f"separation level must be at least 2, got {n}")
-    hits = [
-        r
-        for r in classify_corpus(max_size, depth=n)
-        if r.profile.d1 and r.profile.d2[n - 2] and not r.profile.d2[n - 1]
-    ]
-    if not hits:
-        return []
-    smallest = min(r.structure.size for r in hits)
-    return [r for r in hits if r.structure.size == smallest]
 
 
 def corpus_implications(records: list[CorpusRecord]) -> list[dict[str, Any]]:

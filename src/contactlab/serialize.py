@@ -16,28 +16,28 @@ Hex masks keep files diff-friendly and width-agnostic.  Exports are canonical
 (sorted keys, sorted pair list, two-space indent, trailing newline), so a
 round trip is byte-exact and files can be compared directly.
 
-Byte contract: ``canonical_dumps(x)`` is exactly
-``json.dumps(x, indent=2, sort_keys=True) + "\n"``.  It is written by a small
-recursive writer rather than the pure-Python indenting encoder: strings and
-scalars go through the ``json`` C helpers, and anything else (empty
-containers, tuples, subclasses, non-str keys) is handed to ``json.dumps``
-itself and re-indented.  Its only raw newlines are indentation, since strings
-are escaped, so text it wrote can be spliced into a larger value by
-re-indenting it (``CanonicalText``).
+``canonical_dumps(x)`` is ``json.dumps(x, indent=2, sort_keys=True)`` plus
+a newline.  A top-level member that is already text (``CanonicalText``) is
+dumped as ``null`` and spliced in, re-indented, at its line: strings are
+escaped, so the only raw newlines are indentation, and only a top-level
+member's line starts with a newline, two spaces and a quote.
 
 ``structure_dumps(cs, roles)`` is, byte for byte,
-``canonical_dumps(structure_to_json(cs, roles))``, written from the relation
-rows without building the pair list: each row's partners above its own index
-are picked from the row's bit string in C and joined with the pair template
-in one ``str.join``, and the whole text is joined once.  A certificate hashes
-that text (``structure_sha256``) and embeds the same text, so its structure
-is formatted once.  ``loaded_structure_dumps`` writes a loaded payload's text
-the same way, from the rows and the payload's other fields, when the
-certificate is verified: the loader accepts only the one pair list the rows
-determine, so the text is ``canonical_dumps`` of the payload as read.
+``canonical_dumps(structure_to_json(cs, roles))``, with the contact list
+spliced in the same way, written from the relation rows without building
+the pair list: each row's partners above its own index are picked from the
+row's bit string in C and joined with the pair template.  A certificate
+hashes that text (``structure_sha256``) and embeds the same text, so its
+structure is formatted once.  ``loaded_structure_dumps`` writes a loaded
+payload's text the same way, from the rows and the payload's other fields,
+when the certificate is verified: the loader accepts only the one pair list
+the rows determine, so the text is ``canonical_dumps`` of the payload as
+read, and ``matches_canonical_construction`` compares those fields and rows
+with a structure's own.
 
-Indices, counts and the version are plain ints (``type(v) is int``, as the
-writer has it): JSON ``true`` and ``false`` are refused, naming the field.
+Indices, counts, ``zero`` and the version are plain ints (``type(v) is
+int``, as the writer has it): JSON ``true``, ``false`` and floats are
+refused, naming the field.
 
 ``structure_from_json`` validates the contact list and builds the relation
 rows in one pass: each pair is type- and range-checked, compared with the
@@ -65,7 +65,6 @@ from .core import (
 
 SCHEMA_VERSION = 1
 _HEX = re.compile(r"^[0-9a-f]+$")
-_encode_scalar = json.JSONEncoder().encode  # float, bool and None
 
 
 class SchemaError(ValueError):
@@ -80,45 +79,40 @@ def mask_to_hex(mask: int, ground_size: int) -> str:
     return f"{mask:0{_hex_digits(ground_size)}x}"
 
 
-def canonical_dumps(payload: dict[str, Any]) -> str:
-    return _encode(payload, "\n") + "\n"
+def _json_text(value: Any) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def canonical_dumps(payload: Any) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, with
+    each top-level ``CanonicalText`` member spliced in at its ``null`` line."""
+    spliced = {}
+    if type(payload) is dict:
+        spliced = {k: v.text for k, v in payload.items() if type(v) is CanonicalText}
+        payload = {**payload, **dict.fromkeys(spliced)}
+    text = _json_text(payload)
+    for key, value in spliced.items():
+        text = _splice(text, key, [value[:-1].replace("\n", "\n  ")])
+    return text
+
+
+def _splice(text: str, key: str, pieces: list[str]) -> str:
+    """``text`` with its top-level member ``key``'s ``null`` replaced by the
+    joined ``pieces``."""
+    line = "\n  " + _encode_str(key) + ": "
+    head, tail = text.split(line + "null", 1)
+    return "".join([head, line, *pieces, tail])
 
 
 class CanonicalText:
     """``canonical_dumps`` output (final newline included) standing for the
-    value it encodes: ``canonical_dumps`` splices it into a larger value,
-    re-indented, instead of encoding that value again."""
+    value it encodes: ``canonical_dumps`` splices it in as a top-level
+    member, re-indented, instead of encoding that value again."""
 
     __slots__ = ("text",)
 
     def __init__(self, text: str) -> None:
         self.text = text
-
-
-def _encode(value: Any, newline: str) -> str:
-    """``value`` as indented JSON; ``newline`` is "\\n" plus the indent of
-    the line ``value`` starts on."""
-    kind = type(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float or kind is bool or value is None:
-        return _encode_scalar(value)
-    if kind is CanonicalText:
-        return value.text[:-1].replace("\n", newline)
-    inner = newline + "  "
-    if kind is list and value:
-        body = ("," + inner).join([_encode(item, inner) for item in value])
-        return "[" + inner + body + newline + "]"
-    if kind is dict and value and set(map(type, value)) == {str}:
-        body = ("," + inner).join(
-            [_encode_str(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
-        )
-        return "{" + inner + body + newline + "}"
-    # Empty containers, tuples, subclasses and non-str keys: json's own
-    # output, whose only raw newlines are its indentation.
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 # bin() digits to compress() selectors: b"0" -> 0 (skip), b"1" -> 1 (keep).
@@ -138,11 +132,10 @@ def _index_names(size: int) -> list[str]:
     return names
 
 
-def _contact_pieces(rows: tuple[int, ...], newline: str) -> list[str]:
+def _contact_pieces(rows: tuple[int, ...]) -> list[str]:
     """The encoded ``"contact"`` list of ``structure_to_json`` for ``rows``,
-    in pieces to be joined, starting on a line whose newline and indent are
-    ``newline``."""
-    inner, deeper = newline + "  ", newline + "    "
+    as a top-level member's value, in pieces to be joined."""
+    inner, deeper = "\n    ", "\n      "
     # Pair [i, j] is "[" deeper i "," deeper j inner "]"; a comma and inner
     # part it from the next pair.
     between = inner + "]," + inner + "[" + deeper
@@ -158,39 +151,52 @@ def _contact_pieces(rows: tuple[int, ...], newline: str) -> list[str]:
             pieces += head, (between + head).join(partners), between
     if len(pieces) == 1:
         return ["[]"]
-    pieces[-1] = inner + "]" + newline + "]"
+    pieces[-1] = inner + "]\n  ]"
     return pieces
 
 
 def _structure_dumps(fields: dict[str, Any], rows: tuple[int, ...]) -> str:
-    """``canonical_dumps`` of ``fields`` (str keys, no ``"contact"``) plus
-    the contact list of ``rows``, joined once."""
-    pieces = []
-    for key in sorted([*fields, "contact"]):
-        pieces.append(("," if pieces else "{") + "\n  " + _encode_str(key) + ": ")
-        if key == "contact":
-            pieces += _contact_pieces(rows, "\n  ")
-        else:
-            pieces.append(_encode(fields[key], "\n  "))
-    pieces.append("\n}\n")
-    return "".join(pieces)
+    """``canonical_dumps`` of ``fields`` (no ``"contact"``) plus the contact
+    list of ``rows``, spliced in."""
+    text = _json_text({**fields, "contact": None})
+    return _splice(text, "contact", _contact_pieces(rows))
 
 
 def structure_dumps(cs: ContactStructure, roles: dict[str, int] | None = None) -> str:
     """``canonical_dumps(structure_to_json(cs, roles))``, written from the
     relation rows."""
-    return _structure_dumps(_structure_fields(cs, roles), cs.contact.rows)
+    return _structure_dumps(structure_fields(cs, roles), cs.contact.rows)
 
 
 def loaded_structure_dumps(raw: dict[str, Any], cs: ContactStructure) -> str:
     """``canonical_dumps(raw)`` for a payload that ``structure_from_json``
     loaded as ``cs``, with the contact list written from the rows: the loader
     accepts only the sorted, duplicate-free ``i < j`` list they determine."""
-    fields = {key: value for key, value in raw.items() if key != "contact"}
-    return _structure_dumps(fields, cs.contact.rows)
+    return _structure_dumps(_loaded_fields(raw), cs.contact.rows)
 
 
-def _structure_fields(
+def matches_canonical_construction(
+    raw: dict[str, Any],
+    loaded: ContactStructure,
+    cs: ContactStructure,
+    roles: dict[str, int] | None,
+) -> bool:
+    """Whether ``raw``, a payload that ``structure_from_json`` loaded as
+    ``loaded``, equals ``structure_to_json(cs, roles)``, without building its
+    pair list (1.4M pairs for the level-6 separator).  The loader takes only
+    plain ints and the one pair list the rows determine, so the fields and
+    the rows decide it exactly."""
+    return (_loaded_fields(raw), loaded.contact.rows) == (
+        structure_fields(cs, roles),
+        cs.contact.rows,
+    )
+
+
+def _loaded_fields(raw: dict[str, Any]) -> dict[str, Any]:
+    return {key: value for key, value in raw.items() if key != "contact"}
+
+
+def structure_fields(
     cs: ContactStructure, roles: dict[str, int] | None
 ) -> dict[str, Any]:
     """Every field of the structure's payload but ``"contact"``."""
@@ -209,7 +215,7 @@ def _structure_fields(
 def structure_to_json(
     cs: ContactStructure, roles: dict[str, int] | None = None
 ) -> dict[str, Any]:
-    payload = _structure_fields(cs, roles)
+    payload = structure_fields(cs, roles)
     payload["contact"] = [
         [i, i + 1 + j]
         for i, row in enumerate(cs.contact.rows)
@@ -240,7 +246,8 @@ def structure_from_json(data: Any) -> tuple[ContactStructure, dict[str, int]]:
         if not isinstance(item, str) or not _HEX.match(item):
             raise SchemaError(f"carrier[{pos}]: expected a lowercase hex string")
         carrier.append(int(item, 16))
-    if data.get("zero") != 0:
+    zero = data.get("zero")
+    if type(zero) is not int or zero != 0:
         raise SchemaError("zero: the empty set is always carrier index 0")
     try:
         lattice = FiniteJoinSemilattice(ground, tuple(carrier))

@@ -31,8 +31,11 @@ the admissible columns from the non-contact pairs and decide the column
 tests and representability pair by pair, as the library did before all
 three read one set of canonical images.
 
-Five builders serve only the tests: ``contact_from_related_pairs`` (a
-relation from its related pairs), ``generator_indices`` (a separator's
+Some builders serve only the tests: ``contact_from_related_pairs`` (a
+relation from its related pairs), ``identity_map`` and
+``inclusion_into_ambient`` (contact maps for the extension tests),
+``find_minimal_separators`` (the smallest corpus classes separating d2 at a
+level), ``generator_indices`` (a separator's
 designated elements, read off the construction), ``write_structure_file``
 (a structure file in canonical bytes), ``parity_products_sum_form`` (the
 parity products as sums of full literal products, the second normal form
@@ -62,6 +65,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 
+from contactlab import enumeration
 from contactlab.axioms import (
     Verdict,
     Witness,
@@ -69,7 +73,7 @@ from contactlab.axioms import (
     _selector_sums,
     require_weak_contact,
 )
-from contactlab.constructions import SeparatorStructure
+from contactlab.constructions import ContactMap, SeparatorStructure, powerset_lattice
 from contactlab.core import (
     Bits,
     CapExceededError,
@@ -83,10 +87,11 @@ from contactlab.core import (
     overlap_contact,
 )
 from contactlab.enumeration import (
-    _automorphisms,
+    CorpusRecord,
     _canonical_le,
     _class_respecting_perms,
     _inverse,
+    _least_relabelling,
     _transpose,
 )
 from contactlab.representation import Refusal, Representation
@@ -108,6 +113,43 @@ def contact_from_related_pairs(
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return ContactRelation(size, tuple(rows))
+
+
+def identity_map(cs: ContactStructure) -> ContactMap:
+    return ContactMap(cs, cs.lattice, tuple(range(cs.size)))
+
+
+def inclusion_into_ambient(sep: SeparatorStructure) -> ContactMap:
+    """Inclusion of the separator carrier into the ambient powerset algebra.
+
+    The powerset carrier sorted by bit pattern is the identity enumeration,
+    so the image index of an element is its own bit mask.
+    """
+    target = powerset_lattice(sep.algebra.width)
+    return ContactMap(sep.structure, target, sep.structure.lattice.carrier)
+
+
+def _automorphisms(lattice: FiniteJoinSemilattice) -> list[list[int]]:
+    """The non-identity automorphisms of the lattice: the permutations within
+    groups of equal (up-count, down-count) that fix ``leq_masks``."""
+    return _least_relabelling(lattice.leq_masks)[2]
+
+
+def find_minimal_separators(max_size: int, n: int) -> list[CorpusRecord]:
+    """Smallest-carrier classes passing d1 whose least failing d2 level is n,
+    read off the corpus profiled to depth n.  Empty means no separator exists
+    up to max_size."""
+    if n < 2:
+        raise ValueError(f"separation level must be at least 2, got {n}")
+    hits = [
+        r
+        for r in enumeration.classify_corpus(max_size, depth=n)
+        if r.profile.d1 and r.profile.d2[n - 2] and not r.profile.d2[n - 1]
+    ]
+    if not hits:
+        return []
+    smallest = min(r.structure.size for r in hits)
+    return [r for r in hits if r.structure.size == smallest]
 
 
 def generator_indices(sep: SeparatorStructure) -> tuple[int, ...]:

@@ -24,7 +24,6 @@ from contactlab.constructions import (
     ZeroReflectionError,
     build_separator,
     check_embedding_criterion,
-    inclusion_into_ambient,
     min_contact_extension,
     parity_products,
 )
@@ -49,6 +48,7 @@ from scan_oracles import (
     Exhausted,
     brute_force_representation,
     check_d2_naive,
+    inclusion_into_ambient,
     parity_products_sum_form,
     write_structure_file,
 )

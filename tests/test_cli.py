@@ -12,12 +12,13 @@ import contactlab
 import scan_oracles
 from contactlab import constructions
 from contactlab import certificates
-from contactlab.certificates import matches_canonical_construction, verify_certificate
+from contactlab.certificates import verify_certificate
 from contactlab import cli
 from contactlab.cli import main
 from contactlab.core import WIDTH_CAP, ContactStructure, contact_all_except
 from contactlab.serialize import (
     mask_to_hex,
+    matches_canonical_construction,
     structure_from_json,
     structure_to_json,
 )
@@ -340,7 +341,7 @@ def test_verify_certificate_requires_every_sn_entry(tmp_path, capsys):
     cert = _sn_certificate(tmp_path, 2)
     keys = certificates.sn_entry_keys(2)
     assert len(cert["entries"]) == len(keys) == 14
-    for pos, (kind, name, params) in enumerate(keys):
+    for pos, (kind, name, params, _expected) in enumerate(keys):
         dropped = json.loads(json.dumps(cert))
         entry = dropped["entries"].pop(pos)
         assert (entry["kind"], entry.get("params", {})) == (kind, params)
@@ -445,6 +446,20 @@ def test_check_refuses_boolean_indices_and_writes_no_certificate(s2_file, tmp_pa
         assert not out.exists()
 
 
+@pytest.mark.parametrize("zero", [False, 0.0], ids=["false", "float"])
+def test_zero_must_be_the_int_zero(s2_file, tmp_path, capsys, zero):
+    # Python's == takes false and 0.0 for 0; the file format has only ints.
+    payload = json.loads(open(s2_file).read())
+    payload["zero"] = zero
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "cert.json"
+    capsys.readouterr()
+    err = _assert_input_error(["check", str(path), "d1", "--out", str(out)], capsys)
+    assert err.startswith("input error: zero:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_matches_canonical_construction_agrees_with_payload_equality(tmp_path, n):
     """The field-wise verdict equals comparing the rebuilt separator's whole
@@ -475,7 +490,8 @@ def test_matches_canonical_construction_agrees_with_payload_equality(tmp_path, n
         cs, _ = structure_from_json(raw)
         expected = structure_to_json(sep.structure, sep.roles) == raw
         assert expected == (name == "unchanged"), name
-        assert matches_canonical_construction(raw, cs, sep) == expected, name
+        got = matches_canonical_construction(raw, cs, sep.structure, sep.roles)
+        assert got == expected, name
 
 
 def test_structure_files_bounded_by_width_cap(tmp_path, capsys):

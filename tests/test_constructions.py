@@ -21,8 +21,6 @@ from contactlab.constructions import (
     ambient_related,
     build_separator,
     check_embedding_criterion,
-    identity_map,
-    inclusion_into_ambient,
     min_contact_extension,
     parity_products,
     powerset_lattice,
@@ -36,7 +34,12 @@ from contactlab.core import (
     overlap_contact,
 )
 from contactlab.enumeration import enumerate_contacts
-from scan_oracles import generator_indices, parity_products_sum_form
+from scan_oracles import (
+    generator_indices,
+    identity_map,
+    inclusion_into_ambient,
+    parity_products_sum_form,
+)
 
 
 # ---------------------------------------------------------------------------
