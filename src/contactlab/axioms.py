@@ -46,18 +46,21 @@ of joins are unions.  With D(x) the elements whose image lies inside x's:
   D(y1) are in contact.
 
 This test is polynomial in the carrier size and the number of pairs.  Each
-pair-subset search runs only when the test finds a violation, and then
-returns the least-level witness in the fixed enumeration order.  The d2
-search is the image test again, with one pair set's selector sums as the
-columns (``FiniteJoinSemilattice.images_over`` and ``meets``): every sum
-bounds a or bounds b iff the images of a and b over the sums are disjoint.
-The d1+ and d2minus searches keep their premises, meets of the down-sets
-of x + s, which are not images over the sums.  ``examined``
-counts the elements (for d2minus, first-slot pairs) the test looks at plus
-the candidates the search scans.  The d1+ and d2 searches share one walk,
-which resumes above the deepest level an earlier search on the structure
-passed and counts the skipped levels as a scan would: levels 1..n one call
-at a time cost one pass, and each verdict is that of a fresh structure.
+search for a witness runs only when the test finds a violation.
+
+d1 implies d1+ at every level: if b is below a + s + xn and a + s + yn for
+every selector sum s over the first n - 1 pairs, d1 at a + s gives
+b <= a + s, and n - 1 such peelings give b <= a.  So d1+ fails first at
+level 1 or never, and every level's check is d1's scan, witness and count.
+
+The d2 search is the image test again, with one pair set's selector sums
+as the columns (``FiniteJoinSemilattice.images_over`` and ``meets``): every
+sum bounds a or bounds b iff the images of a and b over the sums are
+disjoint.  It returns the least-level witness, and resumes above the
+deepest level an earlier search on the structure passed, counting skipped
+levels as a scan would: levels 1..n one call at a time cost one pass.
+``examined`` counts the elements (for d2minus, first-slot pairs) the test
+looks at plus the candidates the search scans.
 
 On a weak contact, d2 holds at level 1: if x and y each bound a or b for a
 contact pair a d b, monotonicity gives x d y (with reflexivity on a nonzero
@@ -65,16 +68,17 @@ a or b, or symmetry in the mixed case), so (x, y) is no non-contact pair.
 The d2 walk therefore starts at level 2 there, counting level 1 as skipped;
 on any other relation it starts at level 1, where it can fail.
 
-``profile_of`` keeps flags, not witnesses, so it takes d2minus from the
-column test alone and runs no d2minus search.  It runs d1+ up to its one
-``depth`` (d1 is the level-1 flag) and d2 up to the pair count, whose least
-failing level gives ``d2_all`` and the d2 flags to the same depth; both
-searches run only past their column tests.
+``profile_of`` keeps flags, not witnesses, so it takes d1, every d1+ level
+and d2minus from their column tests and runs neither search.  It runs d2 up
+to the pair count, whose least failing level gives ``d2_all`` and the d2
+flags to ``depth``; that search runs only past its column test.
 
 Note on ``d2minus``: two one-sided conventions are possible.  Here the b-side
 bound is required exactly on selectors picking the first component of the
 distinguished pair and the a-side bound on the remaining selectors; this is
-the convention under which the axiom is a consequence of ``d1``.  For the
+the convention under which the axiom is a consequence of ``d1`` (d1+ at x1
+and at y1 gives b <= x1 and a <= y1, so a d b would put x1 in contact with
+y1).  For the
 distinguished pair the zero-component reduction is unsound, so that slot also
 ranges over pairs involving 0.
 """
@@ -85,7 +89,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .core import (
     ContactStructure,
@@ -325,59 +329,33 @@ def _d2minus_violated(cs: ContactStructure) -> bool:
     return any(violated for _, _, violated in _d2minus_slots(cs))
 
 
-def _least_failing_level(
-    cs: ContactStructure, max_size: int, kind: str, first: int,
-    first_hit: Callable[[list[int]], tuple[int, int] | None], floor: int = 0,
-) -> tuple[int | None, Witness | None, int]:
-    """Least pair-count m <= max_size at which a set of m pairs has a
-    ``kind`` violation, with its witness.  Pair sets go by size, then in
-    lexicographic order; ``first_hit(sums)`` scans a upward from ``first``
-    and gives the least violating (a, b), or None.  ``examined`` counts the
-    elements scanned.  The deepest level completed without a hit is kept on
-    ``cs``; a later walk skips to it, or to ``floor`` (a level known free
-    without a scan) if that is deeper, counting C(|P|, j) sets per level j."""
-    lattice = cs.lattice
-    pairs = cs.contact.noncontact_pairs()
-    per_set = lattice.size - first
-    known = f"{kind}_holds_to"
-    skipped = min(max(getattr(cs, known), floor), max_size)
-    examined = lattice.size + per_set * sum(
-        comb(len(pairs), j) for j in range(1, skipped + 1)
-    )
-    for m in range(skipped + 1, min(max_size, len(pairs)) + 1):
-        for combo in combinations(pairs, m):
-            hit = first_hit(_selector_sums(lattice, combo))
-            if hit is not None:
-                a, b = hit
-                witness = Witness(kind, (("a", a), ("b", b)), combo)
-                return m, witness, examined + a + 1 - first
-            examined += per_set
-        object.__setattr__(cs, known, m)  # a cache, as cached_property writes
-    return None, None, examined
-
-
 def _first_d1plus_violation(
     cs: ContactStructure, max_size: int
 ) -> tuple[int | None, Witness | None, int]:
-    """Least pair-count m <= max_size at which d1+ has a violation; the
-    search runs only if the column test finds one at some level."""
+    """The first d1 violation, which is d1+'s at every level, so at any
+    ``max_size``: over the non-contact pairs (x, y), then a, ascending, the
+    least b below a + x and a + y but not below a.  It runs only past the
+    column test, and then finds one.  ``examined`` counts the elements plus
+    the (pair, a) scanned."""
     lattice = cs.lattice
+    size = lattice.size
     if not _d1plus_violated(cs):
-        return None, None, lattice.size
-    below = lattice.below_masks
-
-    def first_hit(sums: list[int]) -> tuple[int, int] | None:
-        for a in range(lattice.size):
-            bad = _common_bound(lattice, a, sums) & ~below[a]
+        return None, None, size
+    below, join = lattice.below_masks, lattice.join
+    examined = size
+    for x, y in cs.contact.noncontact_pairs():
+        for a in range(size):
+            examined += 1
+            bad = below[join(a, x)] & below[join(a, y)] & ~below[a]
             if bad:
-                return a, next(iter_bits(bad))
-        return None
-
-    return _least_failing_level(cs, max_size, "d1plus", 0, first_hit)
+                b = next(iter_bits(bad))
+                return 1, Witness("d1plus", (("a", a), ("b", b)), ((x, y),)), examined
+    return None, None, examined
 
 
 def check_d1_plus(cs: ContactStructure, n: int) -> Verdict:
-    """Level-n bound-absorption schema (d1 is the n=1 case)."""
+    """Level-n bound-absorption schema (d1 is the n=1 case).  d1 implies it
+    at every level, so each level gives d1's verdict, witness and count."""
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
     start = time.perf_counter()
@@ -403,29 +381,34 @@ def _first_d2_violation(
 ) -> tuple[int | None, Witness | None, int]:
     """Least pair-count m <= max_size at which d2 has a violation.
 
-    For each pair set, the selector sums play the columns of the column
-    test: every sum bounds a or bounds b iff the images of a and b over the
-    sums are disjoint (bit f set iff the element is not below sum f).  So
-    the violating pairs are the contact pairs read off the meets of the
-    images (``FiniteJoinSemilattice.images_over`` and ``meets``), and the
-    witness is the least a with its least b >= a
-    (``ContactStructure.first_uncovered_pair``).  ``examined`` rises by a on
-    a hit and by size - 1 otherwise, one unit per element scanned, skipped
-    levels included (``_least_failing_level``).  The search runs only if the
-    column test finds a violation at some level.
-
-    On a weak contact the walk starts at level 2, as level 1 cannot fail
-    there (module docstring); on any other relation it starts at level 1.
+    Pair sets go by size, then in lexicographic order; each is decided by
+    the images over its selector sums (module docstring), and the witness
+    is the least a with its least b >= a (``cs.first_uncovered_pair``).
+    ``examined`` counts the elements, then a on a hit and size - 1 per pair
+    set otherwise.  The deepest level passed is kept on ``cs``; a later walk
+    skips to it, or past level 1 on a weak contact, counting C(|P|, j) sets
+    per skipped level j.
     """
     lattice = cs.lattice
+    size = lattice.size
     if not _d2_violated(cs):
-        return None, None, lattice.size
-
-    def first_hit(sums: list[int]) -> tuple[int, int] | None:
-        return cs.first_uncovered_pair(lattice.meets(sums, lattice.images_over(sums)))
-
+        return None, None, size
+    pairs = cs.contact.noncontact_pairs()
     floor = 1 if cs.is_weak_contact else 0
-    return _least_failing_level(cs, max_size, "d2", 1, first_hit, floor)
+    skipped = min(max(cs.d2_holds_to, floor), max_size)
+    examined = size + (size - 1) * sum(
+        comb(len(pairs), j) for j in range(1, skipped + 1)
+    )
+    for m in range(skipped + 1, min(max_size, len(pairs)) + 1):
+        for combo in combinations(pairs, m):
+            sums = _selector_sums(lattice, combo)
+            hit = cs.first_uncovered_pair(lattice.meets(sums, lattice.images_over(sums)))
+            if hit is not None:
+                a, b = hit
+                return m, Witness("d2", (("a", a), ("b", b)), combo), examined + a
+            examined += size - 1
+        object.__setattr__(cs, "d2_holds_to", m)  # a cache, as cached_property writes
+    return None, None, examined
 
 
 def check_d2(cs: ContactStructure, n: int) -> Verdict:
@@ -510,22 +493,21 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
 def profile_of(cs: ContactStructure, depth: int = 3) -> AxiomProfile:
     """Every schema's flags, d1+ and d2 at levels 1..depth; deterministic.
     The weak contact check is the first thing ``check_additive`` does.  A
-    flag needs no witness, so d2minus is its column test alone."""
+    flag needs no witness, so d1, every d1+ level and d2minus are their
+    column tests alone."""
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
     additive = check_additive(cs).passed
-    # A missing violation means the schema holds at every level, not just the
+    d1 = not _d1plus_violated(cs)
+    # A missing violation means d2 holds at every level, not just the
     # scanned ones: levels beyond the distinct-pair count only repeat summands.
-    m1, _, _ = _first_d1plus_violation(cs, depth)
     m2, _, _ = _first_d2_violation(cs, len(cs.contact.noncontact_pairs()))
-    first1 = m1 if m1 is not None else float("inf")
     first2 = m2 if m2 is not None else float("inf")
-    d1_plus = tuple(n < first1 for n in range(1, depth + 1))
     return AxiomProfile(
         weak_contact=True,
         additive=additive,
-        d1=d1_plus[0],
-        d1_plus=d1_plus,
+        d1=d1,
+        d1_plus=(d1,) * depth,
         d2=tuple(n < first2 for n in range(1, depth + 1)),
         d2_minus=not _d2minus_violated(cs),
         d2_all=m2 is None,

@@ -8,9 +8,10 @@ expectation, and a witness check's witness): ``sn``, ``check`` and
 recorded entry through it from the embedded structure alone and compares
 the whole entry, so a certificate can be audited without trusting the
 process that wrote it.  Verification also requires every entry its command
-writes, so none can be dropped.  Every int an entry records must be a JSON
-integer, refused by type before anything is compared.  Wall-clock stats are
-recorded but excluded from comparison.
+writes, so none can be dropped, and re-derives each with the expectation
+its command writes, not the recorded one.  Every int an entry records must
+be a JSON integer, refused by type before anything is compared.  Wall-clock
+stats are recorded but excluded from comparison.
 
 The embedded structure's text is written once, from the relation rows
 (``serialize.structure_dumps``): its SHA-256 is taken of that text, and the
@@ -36,11 +37,7 @@ from .constructions import (
     build_separator,
 )
 from .core import ContactStructure
-from .representation import (
-    Representation,
-    decide_overlap_representable,
-    decide_weak_representable,
-)
+from .representation import DECIDERS, Representation
 from .serialize import (
     SCHEMA_VERSION,
     CanonicalText,
@@ -128,9 +125,7 @@ def derive_entry(
         derived = {"fact": name, "value": value}
     elif kind == "representation":
         mode = entry["mode"]
-        result = (
-            decide_weak_representable if mode == "weak" else decide_overlap_representable
-        )(cs)
+        result = DECIDERS[mode](cs)
         success = isinstance(result, Representation)
         if success:
             result.validate(cs)  # re-checked before it is reported
@@ -299,29 +294,23 @@ def _strip_stats(entry: dict[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in entry.items() if k != "stats"}
 
 
-def missing_entries(
-    command: Any, params: dict[str, Any], entries: list[dict[str, Any]]
-) -> list[str]:
-    """One problem line per entry the command writes that ``entries`` lacks;
-    SchemaError for a command that writes no certificate."""
+def _written_keys(command: Any, params: dict[str, Any]) -> list[tuple[str, Any, Any, Any]]:
+    """(kind, name, params, expected) of each entry the command writes, with
+    params None where the entry's own are not keyed; SchemaError for a
+    command that writes no certificate."""
     if command == "sn":
-        required = [key[:3] for key in sn_entry_keys(params["n"])]
-    elif command == "check":
-        required = [("axiom", params.get("axiom"), None)]
-    elif command == "represent":
-        required = [("representation", params.get("mode"), None)]
-    else:
-        raise SchemaError(f"command: expected sn, check or represent, got {command!r}")
-    present = [(e["kind"], _entry_name(e), e.get("params", {})) for e in entries]
-    problems = []
-    for kind, name, keyed in required:
-        if not any(
-            (k, n) == (kind, name) and (keyed is None or p == keyed)
-            for k, n, p in present
-        ):
-            suffix = f" {json.dumps(keyed, sort_keys=True)}" if keyed else ""
-            problems.append(f"missing {kind} entry {name}{suffix}")
-    return problems
+        return sn_entry_keys(params["n"])
+    if command == "check":
+        return [("axiom", params.get("axiom"), None, None)]
+    if command == "represent":
+        return [("representation", params.get("mode"), None, None)]
+    raise SchemaError(f"command: expected sn, check or represent, got {command!r}")
+
+
+def _written_key(entry: dict[str, Any], keys: list[tuple[str, Any, Any, Any]]) -> Any:
+    """The key ``entry`` is written under, by kind, name and params, or None."""
+    name, params = (entry["kind"], _entry_name(entry)), entry.get("params", {})
+    return next((key for key in keys if key[:2] == name and key[2] in (None, params)), None)
 
 
 def verify_certificate(cert: Any) -> list[str]:
@@ -356,7 +345,15 @@ def verify_certificate(cert: Any) -> list[str]:
         for field, value in _recorded_ints(entry, f"entries[{pos}]"):
             if type(value) is not int:
                 raise SchemaError(f"{field}: expected an int, got {value!r}")
-    problems = missing_entries(cert["command"], params, entries)
+    # The key each entry is written under, if any: every key needs an entry,
+    # and an entry expects what its command writes, not what it records.
+    keys = _written_keys(cert["command"], params)
+    written = [_written_key(entry, keys) for entry in entries]
+    problems = []
+    for kind, name, keyed, expected in keys:
+        if (kind, name, keyed, expected) not in written:
+            suffix = f" {json.dumps(keyed, sort_keys=True)}" if keyed else ""
+            problems.append(f"missing {kind} entry {name}{suffix}")
 
     raw = cert["structure"]
     cs, _roles = structure_from_json(raw)
@@ -373,9 +370,10 @@ def verify_certificate(cert: Any) -> list[str]:
             **separator_extension_facts(sep),
         }
 
-    for pos, entry in enumerate(entries):
+    for pos, (entry, key) in enumerate(zip(entries, written)):
+        claimed = entry if key is None else {**entry, "expected": key[3]}
         try:
-            fresh = derive_entry(cs, entry, separator_facts)
+            fresh = derive_entry(cs, claimed, separator_facts)
         except Exception as exc:  # a broken entry should name itself, not abort
             problems.append(f"entries[{pos}]: re-derivation raised {exc!r}")
             continue

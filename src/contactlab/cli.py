@@ -31,6 +31,7 @@ from .certificates import (
 from .constructions import ConstructionError, build_separator
 from .core import CapExceededError
 from .enumeration import check_corpus_caps, classify_corpus, corpus_implications
+from .representation import DECIDERS
 from .serialize import (
     SchemaError,
     canonical_dumps,
@@ -133,6 +134,8 @@ def cmd_sn(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.n is not None and args.axiom not in ("d1plus", "d2"):
+        return _usage_error(f"--n sets the level of d1plus and d2, not of {args.axiom}")
     started = time.perf_counter()
     cs, roles = load_structure_file(args.input)
     if args.axiom != "weak-contact":
@@ -270,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("represent", help="decide powerset representability")
     rep.add_argument("input")
-    rep.add_argument("--mode", choices=("weak", "overlap"), required=True)
+    rep.add_argument("--mode", choices=tuple(DECIDERS), required=True)
     rep.add_argument("--out", default=None)
     rep.set_defaults(func=cmd_represent)
 

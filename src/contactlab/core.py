@@ -8,7 +8,7 @@ structure; raw masks never travel between structures of different width.
 
 All structures are immutable after construction and all operations are pure;
 what a structure caches (derived masks, the non-contact pairs, the first
-weak-contact violation, the levels the axiom searches found free of
+weak-contact violation, the deepest level the d2 search found free of
 violations) only records facts about it.  So values can be shared freely
 across threads or processes.
 
@@ -410,8 +410,7 @@ class ContactStructure:
 
     lattice: FiniteJoinSemilattice
     contact: ContactRelation
-    # Deepest pair-set level known free of d1+ / d2 violations (``axioms``).
-    d1plus_holds_to: int = field(default=0, init=False, repr=False, compare=False)
+    # Deepest pair-set level known free of d2 violations (``axioms``).
     d2_holds_to: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -126,3 +126,11 @@ def decide_weak_representable(cs: ContactStructure) -> Representation | Refusal:
 def decide_overlap_representable(cs: ContactStructure) -> Representation | Refusal:
     """Embedding making contact exactly the overlap of images."""
     return _decide(cs, "overlap")
+
+
+# The decider of each mode.  Each reads the module's function when called,
+# so a decider replaced on the module (as a tracer does) is the one used.
+DECIDERS = {
+    "weak": lambda cs: decide_weak_representable(cs),
+    "overlap": lambda cs: decide_overlap_representable(cs),
+}

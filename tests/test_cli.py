@@ -409,6 +409,68 @@ def test_verify_certificate_requires_the_named_axiom_and_mode(s2_file, tmp_path)
         assert verify_certificate(cert) == [f"missing {kind} entry {other}"]
 
 
+def test_verify_certificate_requires_each_expectation(s2_file, tmp_path, capsys):
+    # The level-2 d2 fail recorded as expected, with the conclusion to
+    # match: every recorded value re-derives and conclusion.ok agrees with
+    # the entries, so only the expectation sn writes tells them apart.
+    cert = _sn_certificate(tmp_path, 2)
+    pos = next(
+        pos for pos, e in enumerate(cert["entries"])
+        if e["kind"] == "axiom" and e["params"] == {"n": 2}
+    )
+    cert["entries"][pos]["expected"] = "pass"
+    cert["conclusion"]["ok"] = False
+    line = f"entries[{pos}]: axiom d2 does not reproduce"
+    assert verify_certificate(cert) == [line]
+    path = tmp_path / "expects_pass.json"
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify-certificate", str(path)]) == 1
+    assert capsys.readouterr().out == line + "\n"
+    # check and represent write no expectation.
+    for argv, name in (
+        (["check", s2_file, "d2", "--n", "2"], "axiom d2"),
+        (["represent", s2_file, "--mode", "overlap"], "representation overlap"),
+    ):
+        out = tmp_path / "cert.json"
+        main(argv + ["--out", str(out)])
+        cert = json.loads(out.read_text())
+        assert verify_certificate(cert) == []
+        cert["entries"][0]["expected"] = "fail" if argv[0] == "check" else "refusal"
+        cert["conclusion"]["ok"] = certificates.conclusion_ok(cert["entries"])
+        assert verify_certificate(cert) == [f"entries[0]: {name} does not reproduce"]
+
+
+def test_verify_certificate_refuses_an_unknown_mode(s2_file, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    main(["represent", s2_file, "--mode", "overlap", "--out", str(out)])
+    cert = json.loads(out.read_text())
+    cert["parameters"]["mode"] = cert["entries"][0]["mode"] = "bogus"
+    problems = verify_certificate(cert)
+    assert len(problems) == 1 and problems[0].startswith("entries[0]: "), problems
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify-certificate", str(out)]) == 1
+    assert capsys.readouterr().out == problems[0] + "\n"
+
+
+def test_level_on_an_axiom_without_levels_is_a_usage_error(s2_file, tmp_path, capsys):
+    for axiom in ("weak-contact", "add", "d1", "d2minus", "d2all"):
+        out = tmp_path / f"{axiom}.json"
+        assert main(["check", s2_file, axiom, "--n", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+    for axiom, level, code in (("d1plus", 3, 0), ("d2", 1, 0), ("d2", 2, 1)):
+        out = tmp_path / f"{axiom}{level}.json"
+        assert main(["check", s2_file, axiom, "--n", str(level), "--out", str(out)]) == code
+        cert = json.loads(out.read_text())
+        assert cert["parameters"] == {"axiom": axiom, "n": level}
+        assert cert["entries"][0]["params"] == {"n": level}
+        assert verify_certificate(cert) == []
+
+
 @pytest.mark.parametrize(
     "mutate, field",
     [

@@ -480,7 +480,7 @@ def test_worker_chunks_pickle_without_search_caches():
         for record, copy in zip(chunk, pickle.loads(data), strict=True):
             cs = copy.structure
             assert cs == record.structure and copy.key == record.key
-            assert cs.d1plus_holds_to == cs.d2_holds_to == 0
+            assert cs.d2_holds_to == 0
             assert not {"canonical_images", "column_domains"} & set(vars(cs))
             assert not {"leq_masks", "below_masks"} & set(vars(cs.lattice))
         assert len({id(copy.structure.lattice) for copy in pickle.loads(data)}) <= 1
