@@ -59,6 +59,12 @@ sum bounds a or bounds b iff the images of a and b over the sums are
 disjoint.  It returns the least-level witness, and resumes above the
 deepest level an earlier search on the structure passed, counting skipped
 levels as a scan would: levels 1..n one call at a time cost one pass.
+Its last level, |P| for P the non-contact pairs, is the column test
+itself: the one set of all the pairs has the selector sums over all pairs,
+each an admissible column or the top, and every admissible column lies
+above one of them.  So a and b have disjoint images over those sums iff
+they do over the columns, and that level reads ``disjoint_images``, which
+the column test has already built, instead of 2^|P| sums.
 ``examined`` counts the elements (for d2minus, first-slot pairs) the test
 looks at plus the candidates the search scans.
 
@@ -384,6 +390,8 @@ def _first_d2_violation(
     Pair sets go by size, then in lexicographic order; each is decided by
     the images over its selector sums (module docstring), and the witness
     is the least a with its least b >= a (``cs.first_uncovered_pair``).
+    Level |P| has one set, all the pairs, whose relation is the column
+    test's ``cs.disjoint_images``, so that level scans no pair set.
     ``examined`` counts the elements, then a on a hit and size - 1 per pair
     set otherwise.  The deepest level passed is kept on ``cs``; a later walk
     skips to it, or past level 1 on a weak contact, counting C(|P|, j) sets
@@ -401,8 +409,12 @@ def _first_d2_violation(
     )
     for m in range(skipped + 1, min(max_size, len(pairs)) + 1):
         for combo in combinations(pairs, m):
-            sums = _selector_sums(lattice, combo)
-            hit = cs.first_uncovered_pair(lattice.meets(sums, lattice.images_over(sums)))
+            if m == len(pairs):  # all the pairs: the column test's relation
+                disjoint = cs.disjoint_images
+            else:
+                sums = _selector_sums(lattice, combo)
+                disjoint = lattice.meets(sums, lattice.images_over(sums))
+            hit = cs.first_uncovered_pair(disjoint)
             if hit is not None:
                 a, b = hit
                 return m, Witness("d2", (("a", a), ("b", b)), combo), examined + a

@@ -10,7 +10,8 @@ the whole entry, so a certificate can be audited without trusting the
 process that wrote it.  Verification also requires every entry its command
 writes, so none can be dropped, and re-derives each with the expectation
 its command writes, not the recorded one.  Every int an entry records must
-be a JSON integer, refused by type before anything is compared.  Wall-clock
+be a JSON integer, and every boolean it or the conclusion records a JSON
+boolean, each refused by type before anything is compared.  Wall-clock
 stats are recorded but excluded from comparison.
 
 The embedded structure's text is written once, from the relation rows
@@ -290,6 +291,19 @@ def _recorded_ints(entry: dict[str, Any], label: str) -> list[tuple[str, Any]]:
     return fields
 
 
+def _recorded_bools(entry: dict[str, Any], label: str) -> list[tuple[str, Any]]:
+    """(field, value) of every boolean ``entry`` records: a witness check's
+    validity and a separator fact's value, and either's expectation."""
+    kind = entry["kind"]
+    if kind not in ("witness-check", "separator"):
+        return []
+    name = "valid" if kind == "witness-check" else "value"
+    fields = [(f"{label}.{name}", entry.get(name))]
+    if entry.get("expected") is not None:
+        fields.append((f"{label}.expected", entry["expected"]))
+    return fields
+
+
 def _strip_stats(entry: dict[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in entry.items() if k != "stats"}
 
@@ -339,12 +353,19 @@ def verify_certificate(cert: Any) -> list[str]:
                 f"parameters.n: a separator certificate needs an int in "
                 f"2..{SN_CERTIFICATE_CAP}, got {n!r}"
             )
-    # Python's == takes true and 12.0 for 1 and 12, so the recorded ints are
-    # refused by type before anything is compared with them.
+    # Python's == takes true and 12.0 for 1 and 12, and 1 for true, so the
+    # recorded ints and booleans are refused by type before anything is
+    # compared with them.
     for pos, entry in enumerate(entries):
         for field, value in _recorded_ints(entry, f"entries[{pos}]"):
             if type(value) is not int:
                 raise SchemaError(f"{field}: expected an int, got {value!r}")
+        for field, value in _recorded_bools(entry, f"entries[{pos}]"):
+            if type(value) is not bool:
+                raise SchemaError(f"{field}: expected a boolean, got {value!r}")
+    recorded = conclusion.get("ok")
+    if recorded is not None and type(recorded) is not bool:
+        raise SchemaError(f"conclusion.ok: expected a boolean, got {recorded!r}")
     # The key each entry is written under, if any: every key needs an entry,
     # and an entry expects what its command writes, not what it records.
     keys = _written_keys(cert["command"], params)
@@ -382,7 +403,6 @@ def verify_certificate(cert: Any) -> list[str]:
                 f"entries[{pos}]: {entry['kind']} {_entry_name(entry)} does not reproduce"
             )
 
-    recorded = conclusion.get("ok")
     if recorded is not None and recorded != conclusion_ok(entries):
         problems.append("conclusion.ok does not match the recorded entries")
     return problems

@@ -290,19 +290,44 @@ class FiniteJoinSemilattice:
         """Per mask (bit j for columns[j]), the elements below every column in
         it (everything for the empty mask), memoized per distinct mask.  Over
         the images of ``columns``, this is per x the elements whose image is
-        disjoint from x's."""
-        below = self.below_masks
+        disjoint from x's.
+
+        Two forms give the same set.  The AND of the down-sets of the mask's
+        columns has one term per bit of the mask.  The fold over the
+        union-irreducibles has one per irreducible: an element is below a
+        column iff every irreducible inside it is, so the meet is everything
+        but the up-sets of the irreducibles whose image over ``columns``
+        meets the mask.  Each distinct mask takes the form with fewer terms;
+        the irreducibles' images are read off the down-sets once per call,
+        when a mask first takes the fold."""
+        below, basis = self.below_masks, self.basis
         everything = full_mask(self.size)
+        folded: list[tuple[int, int]] | None = None
         memo: dict[int, int] = {}
         out = []
         for mask in masks:
             meet = memo.get(mask)
             if meet is None:
-                meet, rest = everything, mask
-                while rest:
-                    low = rest & -rest
-                    meet &= below[columns[low.bit_length() - 1]]
-                    rest ^= low
+                if mask.bit_count() <= len(basis):
+                    meet, rest = everything, mask
+                    while rest:
+                        low = rest & -rest
+                        meet &= below[columns[low.bit_length() - 1]]
+                        rest ^= low
+                else:
+                    if folded is None:
+                        folded = []
+                        for g, _, up in basis:
+                            image = 0
+                            for j, m in enumerate(columns):
+                                if not (below[m] >> g) & 1:
+                                    image |= 1 << j
+                            folded.append((image, up))
+                    reach = 0
+                    for image, up in folded:
+                        if image & mask:
+                            reach |= up
+                    meet = everything ^ reach
                 memo[mask] = meet
             out.append(meet)
         return tuple(out)

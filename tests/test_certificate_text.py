@@ -254,6 +254,39 @@ def test_recorded_ints_must_be_ints(tmp_path, capsys, name, path, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "paths",
+    [
+        [("entries", 8, "valid")],
+        [("entries", 8, "expected")],
+        [("entries", pos, "value") for pos in range(9, 15)],
+        [("entries", 12, "expected")],
+        [("conclusion", "ok")],
+    ],
+    ids=["witness-check-valid", "witness-check-expected", "separator-values",
+         "separator-expected", "conclusion-ok"],
+)
+def test_recorded_booleans_must_be_booleans(tmp_path, capsys, paths):
+    # Python's == takes 1 for true, so each of these edits verified as
+    # written until the booleans were refused by type; the first edited
+    # field is named.
+    cert = json.loads((DATA / "sn3.cert.json").read_text())
+    for path in paths:
+        target = cert
+        for key in path[:-1]:
+            target = target[key]
+        assert target[path[-1]] is True
+        target[path[-1]] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify-certificate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    first = paths[0]
+    field = first[0] + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in first[1:])
+    assert err == f"input error: {field}: expected a boolean, got 1\n"
+
+
 def test_witness_from_json_refuses_indices_that_are_not_ints():
     good = {"kind": "d2", "elements": {"a": 3, "b": 5}, "pairs": [[1, 8]]}
     assert Witness.from_json(good).to_json() == good

@@ -140,3 +140,15 @@ def test_kernel_agrees_on_separators():
         # The d2 search's columns: the selector sums of the literal pairs.
         sums = axioms._selector_sums(lattice, sep.literal_pairs)
         assert_kernel_agrees(lattice, rng, extra=[sums])
+
+
+def test_kernel_agrees_on_the_level_five_column_test(sep5):
+    # 506 elements over the 32 admissible columns, with the images and
+    # their complements as masks: at this scale the fold over the 12
+    # irreducibles takes about half of the distinct masks, the AND the rest.
+    lattice = sep5.structure.lattice
+    columns, images = sep5.structure.canonical_images
+    everything = full_mask(len(columns))
+    masks = list(images) + [everything ^ img for img in images]
+    assert len(masks) == 1012
+    assert lattice.meets(columns, masks) == scan_oracles.meets_scan(lattice, columns, masks)

@@ -234,12 +234,41 @@ def test_level_five_counters(sep5):
     assert axioms.check_weak_contact(sep5.structure).examined == 510535
 
 
+def test_level_six_counters():
+    verdict = axioms.check_d2(build_separator(6).structure, 6)
+    assert verdict.examined == 105574
+    assert dict(verdict.witness.elements) == {"a": 48, "b": 121}
+
+
+def assert_top_level_is_the_column_test(cs):
+    # The one set of all the non-contact pairs: every selector sum over it
+    # is an admissible column or the top, and every admissible column lies
+    # above one, so its disjoint relation is the column test's.
+    lattice = cs.lattice
+    sums = axioms._selector_sums(lattice, tuple(cs.contact.noncontact_pairs()))
+    assert lattice.meets(sums, lattice.images_over(sums)) == cs.disjoint_images
+
+
+def test_top_level_is_the_column_test_on_every_contact_to_size_seven():
+    checked = 0
+    for cs in small_contacts(7):
+        assert_top_level_is_the_column_test(cs)
+        checked += 1
+    assert checked == 2043
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_top_level_is_the_column_test_on_separators(n):
+    assert_top_level_is_the_column_test(build_separator(n).structure)
+
+
 def test_one_d2_pass_examines_each_level_once(monkeypatch):
     # Levels 1..4 of the level-4 separator, one call each, report the
     # counts of separate scans, 736 + 1,618 + 2,206 + 2,218 = 6,778
-    # elements, but evaluate 11 pair sets, the 6 + 4 + 1 of one pass from
-    # level 2 (level 1 cannot fail on a weak contact and is only counted),
-    # where calls that each start afresh evaluate 0 + 6 + 10 + 11 = 27.
+    # elements, but evaluate 10 pair sets, the 6 + 4 of one pass from
+    # level 2 (level 1 cannot fail on a weak contact and is only counted,
+    # and level 4, all four pairs, is read off the column test), where
+    # calls that each start afresh evaluate 0 + 6 + 10 + 10 = 26.
     evaluated = []
 
     def counted(lattice, combo):
@@ -253,11 +282,11 @@ def test_one_d2_pass_examines_each_level_once(monkeypatch):
     assert [v.examined for v in verdicts] == [736, 1618, 2206, 2218]
     assert [v.passed for v in verdicts] == [True, True, True, False]
     assert [v.params for v in verdicts] == [{"n": n} for n in range(1, 5)]
-    assert len(evaluated) == len(set(evaluated)) == 11
+    assert len(evaluated) == len(set(evaluated)) == 10
     evaluated.clear()
     for n in range(1, 5):
         axioms.check_d2(fresh(cs), n)
-    assert len(evaluated) == 27
+    assert len(evaluated) == 26
 
 
 def test_d2_level_one_holds_on_every_weak_contact():
