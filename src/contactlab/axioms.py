@@ -92,10 +92,9 @@ ranges over pairs involving 0.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .core import (
     ContactStructure,
@@ -109,8 +108,7 @@ class InvalidContactError(ValueError):
     """Input relation is not a weak contact; carries the violated clause."""
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Role-labelled elements violating one axiom instance.
 
     ``elements`` maps schema roles (``a``, ``b``, ...) to carrier indices;
@@ -148,8 +146,7 @@ class Witness:
         return cls(kind=data["kind"], elements=elements, pairs=pairs)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one axiom check, with search statistics."""
 
     axiom: str
@@ -173,8 +170,7 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class AxiomProfile:
+class AxiomProfile(NamedTuple):
     """Flags for every schema at the requested depth.
 
     ``d1_plus[i]`` and ``d2[i]`` hold the level-(i+1) verdicts.  The
@@ -374,7 +370,7 @@ def check_d1(cs: ContactStructure) -> Verdict:
     verdict = check_d1_plus(cs, 1)
     witness = verdict.witness
     if witness is not None:
-        witness = replace(witness, kind="d1")
+        witness = witness._replace(kind="d1")
     return Verdict("d1", {}, verdict.passed, witness, verdict.examined, verdict.elapsed)
 
 
@@ -419,7 +415,7 @@ def _first_d2_violation(
                 a, b = hit
                 return m, Witness("d2", (("a", a), ("b", b)), combo), examined + a
             examined += size - 1
-        object.__setattr__(cs, "d2_holds_to", m)  # a cache, as cached_property writes
+        cs.d2_holds_to = m
     return None, None, examined
 
 

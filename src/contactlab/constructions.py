@@ -16,8 +16,7 @@ n = 10; ``build_separator`` relies on neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .axioms import Verdict, Witness, check_weak_contact
 from .core import (
@@ -65,8 +64,7 @@ def parity_products(n: int) -> tuple[Bits, Bits]:
     return even, odd
 
 
-@dataclass(frozen=True)
-class SeparatorStructure:
+class SeparatorStructure(NamedTuple):
     """Level-n separator: contact semilattice failing d2 exactly at level n.
 
     ``literal_pairs[i]`` holds the carrier indices of generator i+1 and its
@@ -82,7 +80,7 @@ class SeparatorStructure:
     even_product: int
     odd_product: int
 
-    @cached_property
+    @property
     def roles(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for i, (g, cg) in enumerate(self.literal_pairs, start=1):
@@ -153,8 +151,7 @@ def powerset_lattice(width: int) -> FiniteJoinSemilattice:
     return FiniteJoinSemilattice.from_closed_carrier(width, tuple(range(1 << width)))
 
 
-@dataclass(frozen=True)
-class ContactMap:
+class ContactMap(NamedTuple):
     """Order-preserving, zero-reflecting assignment between carriers."""
 
     source: ContactStructure
@@ -162,11 +159,12 @@ class ContactMap:
     kappa: tuple[int, ...]
 
     def validate(self) -> None:
-        src = self.source.lattice
-        if len(self.kappa) != src.size:
+        source, target, kappa = self  # locals: the loops read them per pair
+        src = source.lattice
+        if len(kappa) != src.size:
             raise ValueError("map must assign every source element")
         for i in range(src.size):
-            img = self.kappa[i]
+            img = kappa[i]
             if (img == 0) != (i == 0):
                 raise ZeroReflectionError(
                     f"element {i} maps to target {img}; only 0 may map to 0"
@@ -174,7 +172,7 @@ class ContactMap:
         for x in range(src.size):
             mask = src.leq_masks[x]
             for y in iter_bits(mask):
-                if not self.target.leq(self.kappa[x], self.kappa[y]):
+                if not target.leq(kappa[x], kappa[y]):
                     raise OrderPreservationError(
                         f"{x} <= {y} in the source but images are not ordered"
                     )
@@ -187,14 +185,14 @@ def min_contact_extension(cmap: ContactMap) -> ContactRelation:
     dominates the images of some related source pair.
     """
     cmap.validate()
-    target = cmap.target
+    source, target, kappa = cmap
     rows = list(overlap_contact(target).rows)
     up = target.leq_masks
-    src_rel = cmap.source.contact
-    for s1 in range(1, cmap.source.size):
+    src_rel = source.contact
+    for s1 in range(1, source.size):
         for s2 in iter_bits(src_rel.rows[s1]):
-            u1 = up[cmap.kappa[s1]]
-            u2 = up[cmap.kappa[s2]]
+            u1 = up[kappa[s1]]
+            u2 = up[kappa[s2]]
             for i in iter_bits(u1):
                 rows[i] |= u2
     return ContactRelation(target.size, tuple(rows))
@@ -207,21 +205,18 @@ def check_embedding_criterion(cmap: ContactMap) -> Verdict:
     A pass guarantees the minimal extension turns the map into a contact
     embedding (preserving and reflecting contact)."""
     cmap.validate()
-    src = cmap.source.lattice
-    target = cmap.target
+    source, target, kappa = cmap
+    src = source.lattice
     examined = 0
     for x in range(src.size):
         for y in range(src.size):
             examined += 1
-            if (
-                target.leq(cmap.kappa[x], cmap.kappa[y])
-                and not src.leq(x, y)
-            ):
+            if target.leq(kappa[x], kappa[y]) and not src.leq(x, y):
                 witness = Witness("order-embedding", (("a", x), ("b", y)))
                 return Verdict("embedding-criterion", {}, False, witness, examined)
-    for i, j in cmap.source.contact.noncontact_pairs():
+    for i, j in source.contact.noncontact_pairs():
         examined += 1
-        if target.meet(cmap.kappa[i], cmap.kappa[j]) != 0:
+        if target.meet(kappa[i], kappa[j]) != 0:
             witness = Witness("meet", (("a", i), ("b", j)), ((i, j),))
             return Verdict("embedding-criterion", {}, False, witness, examined)
     return Verdict("embedding-criterion", {}, True, None, examined)

@@ -6,8 +6,11 @@ finite ground set, encoded as a Python int whose bit ``k`` marks ground point
 machine-word and wider ground sets.  Widths are owned by the containing
 structure; raw masks never travel between structures of different width.
 
-All structures are immutable after construction and all operations are pure;
-what a structure caches (derived masks, the non-contact pairs, the first
+All structures are immutable after construction and all operations are pure.
+The value records are ``typing.NamedTuple``s, which enforce it; the plain
+classes (``FiniteJoinSemilattice``, ``ContactRelation``, ``ContactStructure``)
+keep it by convention, since their caches need an instance dict.  What a
+structure caches (derived masks, the non-contact pairs, the first
 weak-contact violation, the deepest level the d2 search found free of
 violations) only records facts about it.  So values can be shared freely
 across threads or processes.
@@ -20,9 +23,8 @@ relation costs what a valid one does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 Bits = int  # subset of a ground set; bit k <-> ground point k
 
@@ -57,8 +59,7 @@ def check_width(mask: Bits, width: int) -> None:
         raise ValueError(f"bit vector {mask:#x} exceeds width {width}")
 
 
-@dataclass(frozen=True)
-class FreeBooleanAlgebra:
+class FreeBooleanAlgebra(NamedTuple):
     """Boolean algebra freely generated by ``n`` elements, as a powerset.
 
     The ground set is the 2**n valuations of the generators; valuation ``k``
@@ -354,7 +355,6 @@ def join_closure(width: int, generators: list[Bits] | tuple[Bits, ...]) -> Finit
     return FiniteJoinSemilattice.from_closed_carrier(width, tuple(sorted(seen)))
 
 
-@dataclass(frozen=True)
 class ContactRelation:
     """Symmetric relation on carrier indices, stored as per-row index masks.
 
@@ -367,18 +367,30 @@ class ContactRelation:
     ``axioms.require_weak_contact`` as an input error.
     """
 
-    size: int
-    rows: tuple[int, ...]
+    def __init__(self, size: int, rows: tuple[int, ...]):
+        if len(rows) != size:
+            raise ValueError(f"expected {size} rows, got {len(rows)}")
+        for i, row in enumerate(rows):
+            if row >> size:
+                raise ValueError(f"row {i} has bits beyond the {size} indices")
+        self.size = size
+        self.rows = rows
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.size:
-            raise ValueError(f"expected {self.size} rows, got {len(self.rows)}")
-        for i, row in enumerate(self.rows):
-            if row >> self.size:
-                raise ValueError(f"row {i} has bits beyond the {self.size} indices")
+    def __repr__(self) -> str:
+        return f"ContactRelation(size={self.size!r}, rows={self.rows!r})"
 
     def __reduce__(self) -> tuple[Any, ...]:
         return ContactRelation, (self.size, self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ContactRelation)
+            and self.size == other.size
+            and self.rows == other.rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.rows))
 
     def related(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
@@ -429,25 +441,39 @@ def overlap_contact(lattice: FiniteJoinSemilattice) -> ContactRelation:
     return ContactRelation(lattice.size, tuple(rows))
 
 
-@dataclass(frozen=True)
 class ContactStructure:
-    """A finite join-semilattice together with a contact relation on it."""
+    """A finite join-semilattice together with a contact relation on it.
 
-    lattice: FiniteJoinSemilattice
-    contact: ContactRelation
-    # Deepest pair-set level known free of d2 violations (``axioms``).
-    d2_holds_to: int = field(default=0, init=False, repr=False, compare=False)
+    Equality, hash and repr read the lattice and the contact alone, never
+    the caches or ``d2_holds_to``."""
 
-    def __post_init__(self) -> None:
-        if self.contact.size != self.lattice.size:
+    def __init__(self, lattice: FiniteJoinSemilattice, contact: ContactRelation):
+        if contact.size != lattice.size:
             raise ValueError(
-                f"contact on {self.contact.size} indices does not match "
-                f"carrier of size {self.lattice.size}"
+                f"contact on {contact.size} indices does not match "
+                f"carrier of size {lattice.size}"
             )
+        self.lattice = lattice
+        self.contact = contact
+        # Deepest pair-set level known free of d2 violations (``axioms``).
+        self.d2_holds_to = 0
+
+    def __repr__(self) -> str:
+        return f"ContactStructure(lattice={self.lattice!r}, contact={self.contact!r})"
 
     def __reduce__(self) -> tuple[Any, ...]:
         # By the defining fields, without the search caches and levels.
         return ContactStructure, (self.lattice, self.contact)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ContactStructure)
+            and self.lattice == other.lattice
+            and self.contact == other.contact
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.contact))
 
     @property
     def size(self) -> int:

@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import permutations, product
 from math import comb
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .axioms import AxiomProfile, profile_of
 from .core import (
@@ -304,8 +303,7 @@ def iso_class_key(cs: ContactStructure) -> str:
 # corpus classification
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     """One isomorphism class with its full profile and representability, at
     the depth in ``provenance``."""
 
@@ -355,8 +353,7 @@ def _classify_lattice(
         orbit = [rows] + [relabel(rows) for relabel in symmetries]
         seen.update(orbit)
         cs = ContactStructure(lattice, contact)
-        profile = replace(
-            profile_of(cs, depth),
+        profile = profile_of(cs, depth)._replace(
             weak_representable=isinstance(decide_weak_representable(cs), Representation),
             overlap_representable=isinstance(
                 decide_overlap_representable(cs), Representation

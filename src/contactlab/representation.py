@@ -13,15 +13,13 @@ images on contact pairs, read from the structure's cached images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .axioms import require_weak_contact
 from .core import ContactStructure
 
 
-@dataclass(frozen=True)
-class ColumnSet:
+class ColumnSet(NamedTuple):
     """Carrier indices usable as ground points (``admissible_columns``); bit j
     of ``images[x]`` is set iff element x is not below ``columns[j]``."""
 
@@ -29,8 +27,7 @@ class ColumnSet:
     images: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """Embedding into the powerset of the chosen columns.
 
     ``images[x]`` is a bit mask over ``columns``; bit j set means element x
@@ -48,12 +45,13 @@ class Representation:
     def validate(self, cs: ContactStructure) -> None:
         """Re-check every invariant directly; soundness is unconditional."""
         lattice, rel = cs.lattice, cs.contact
-        if len(self.images) != lattice.size:
+        images = self.images  # a local: the loops below read it O(size^2) times
+        if len(images) != lattice.size:
             raise AssertionError("one image per carrier element required")
-        if self.images[0] != 0:
+        if images[0] != 0:
             raise AssertionError("zero must map to the empty set")
         seen: dict[int, int] = {}
-        for x, img in enumerate(self.images):
+        for x, img in enumerate(images):
             if x and not img:
                 raise AssertionError(f"nonzero element {x} has empty image")
             if img in seen:
@@ -62,14 +60,14 @@ class Representation:
         for x in range(lattice.size):
             for y in range(x, lattice.size):
                 j = lattice.join(x, y)
-                if self.images[j] != self.images[x] | self.images[y]:
+                if images[j] != images[x] | images[y]:
                     raise AssertionError(f"join of {x}, {y} is not preserved")
         for i, j in rel.noncontact_pairs():
-            if self.images[i] & self.images[j]:
+            if images[i] & images[j]:
                 raise AssertionError(f"non-contact pair ({i}, {j}) overlaps")
         if self.mode == "overlap":
             for i, j in rel.related_pairs():
-                if not self.images[i] & self.images[j]:
+                if not images[i] & images[j]:
                     raise AssertionError(f"contact pair ({i}, {j}) is disjoint")
 
     def to_json(self) -> dict[str, Any]:
@@ -82,8 +80,7 @@ class Representation:
         }
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(NamedTuple):
     """No representation exists; names the finite obstruction found."""
 
     mode: str

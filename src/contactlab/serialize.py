@@ -371,7 +371,7 @@ def representation_to_dot(rep_payload: Any) -> str:
         raise SchemaError("payload: expected a representation object")
     columns = rep_payload.get("columns")
     images = rep_payload.get("images")
-    if not isinstance(columns, list) or not all(isinstance(m, int) for m in columns):
+    if not isinstance(columns, list) or not all(type(m) is int for m in columns):
         raise SchemaError("payload.columns: expected a list of ints")
     if not isinstance(images, list):
         raise SchemaError("payload.images: expected a list of hex masks")

@@ -62,7 +62,7 @@ import hashlib
 import json
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from contactlab import enumeration
@@ -684,7 +684,7 @@ def check_d2_naive(cs: ContactStructure, n: int) -> Verdict:
             extended = [s | cx for s in sums_bits] + [s | cy for s in sums_bits]
             found = scan(depth + 1, extended)
             if found is not None:
-                return replace(found, pairs=((x, y),) + found.pairs)
+                return found._replace(pairs=((x, y),) + found.pairs)
         return None
 
     witness = scan(0, [0])

@@ -708,6 +708,18 @@ def test_export_dot_malformed_certificate(s2_file, tmp_path, capsys, mutate):
     _assert_input_error(["export-dot", str(out)], capsys)
 
 
+@pytest.mark.parametrize("column", [True, 1.0], ids=["bool", "float"])
+def test_export_dot_refuses_a_column_that_is_not_an_int(s2_file, tmp_path, capsys, column):
+    out = tmp_path / "rep.json"
+    assert main(["represent", s2_file, "--mode", "weak", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    cert["entries"][0]["payload"]["columns"] = [column]
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    err = _assert_input_error(["export-dot", str(out)], capsys)
+    assert err == "input error: payload.columns: expected a list of ints\n"
+
+
 def test_export_dot(s2_file, tmp_path, capsys):
     assert main(["export-dot", s2_file]) == 0
     first = capsys.readouterr().out

@@ -1,6 +1,5 @@
 """Witness constructions: parity products, separators, contact extensions."""
 
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -286,7 +285,7 @@ def test_separator_extension_facts_on_other_weak_contacts(sep2, sep3):
             contact_all_except(lattice.size, [(sep.even_product, sep.odd_product)]),
             contact_all_except(lattice.size, [(gen, sep.even_product)]),
         ):
-            variant = replace(sep, structure=ContactStructure(lattice, contact))
+            variant = sep._replace(structure=ContactStructure(lattice, contact))
             assert check_weak_contact(variant.structure).passed
             facts = separator_extension_facts(variant)
             oracle = materialized_extension_facts(variant)

@@ -8,7 +8,6 @@ every level.  ``scan_oracles.first_d1plus_violation`` walks every pair set
 up to its bound, ungated, and must agree.
 """
 
-from dataclasses import replace
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
@@ -27,7 +26,7 @@ def assert_d1_decides_d1plus(cs, levels):
         verdict = axioms.check_d1_plus(cs, k)
         assert verdict.witness == witness, k
         assert (verdict.passed, verdict.examined) == (d1.passed, d1.examined), k
-        assert d1.witness == (None if witness is None else replace(witness, kind="d1"))
+        assert d1.witness == (None if witness is None else witness._replace(kind="d1"))
 
 
 def test_d1plus_fails_at_level_one_or_never_on_every_contact_to_size_seven():

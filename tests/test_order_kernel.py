@@ -12,7 +12,6 @@ too.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,7 +150,7 @@ def test_masks_and_closure_agree_on_random_families(family):
 def corrupted(sep, rows):
     lattice = sep.structure.lattice
     relation = ContactRelation(lattice.size, tuple(rows))
-    return replace(sep, structure=ContactStructure(lattice, relation))
+    return sep._replace(structure=ContactStructure(lattice, relation))
 
 
 def corruptions(sep):
@@ -169,7 +168,7 @@ def corruptions(sep):
         "preserves": corrupted(sep, touching_zero),
         "reflects": corrupted(sep, split),
         # The odd product against itself: its first atom overlaps it.
-        "nonadditive": replace(sep, even_product=sep.odd_product),
+        "nonadditive": sep._replace(even_product=sep.odd_product),
     }
 
 
