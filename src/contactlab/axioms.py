@@ -43,7 +43,13 @@ of joins are unions.  With D(x) the elements whose image lies inside x's:
 * d2 fails at some level iff some contact pair (a, b) has every column
   above a or above b, i.e. disjoint images (the overlap refusal);
 * d2minus fails with first pair (x1, y1) iff some b in D(x1) and a in
-  D(y1) are in contact.
+  D(y1) are in contact.  D(x) is read off the ground points: a selector
+  misses a point p iff each pair has a component without p, so the points
+  in every selector sum over a pair set Q are common(Q), those in both
+  components of some pair of Q (``_common_points``).  Joins are unions,
+  so x + s bounds z for every such s iff z lies inside x | common(Q).
+  D(x) is the subsets of x | common(P), and the witness search bounds
+  each pair set the same way, with no selector sums.
 
 This test is polynomial in the carrier size and the number of pairs.  Each
 search for a witness runs only when the test finds a violation.
@@ -74,10 +80,11 @@ a or b, or symmetry in the mixed case), so (x, y) is no non-contact pair.
 The d2 walk therefore starts at level 2 there, counting level 1 as skipped;
 on any other relation it starts at level 1, where it can fail.
 
-``profile_of`` keeps flags, not witnesses, so it takes d1, every d1+ level
-and d2minus from their column tests and runs neither search.  It runs d2 up
-to the pair count, whose least failing level gives ``d2_all`` and the d2
-flags to ``depth``; that search runs only past its column test.
+``profile_of`` keeps flags, not witnesses, so it takes d1 (d1+'s verdict
+at every level) and d2minus from their column tests and runs neither
+search.  It runs d2 up to the pair count, whose least failing level gives
+``d2_all`` and the d2 flags to ``depth``; that search runs only past its
+column test.
 
 Note on ``d2minus``: two one-sided conventions are possible.  Here the b-side
 bound is required exactly on selectors picking the first component of the
@@ -94,7 +101,7 @@ from __future__ import annotations
 import time
 from itertools import combinations
 from math import comb
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .core import (
     ContactStructure,
@@ -173,15 +180,14 @@ class Verdict(NamedTuple):
 class AxiomProfile(NamedTuple):
     """Flags for every schema at the requested depth.
 
-    ``d1_plus[i]`` and ``d2[i]`` hold the level-(i+1) verdicts.  The
-    representability flags start unset; the corpus fills them from the
-    representation deciders.
+    ``d2[i]`` holds the level-(i+1) verdict; ``d1`` is also d1+'s at every
+    level.  The representability flags start unset; the corpus fills them
+    from the representation deciders.
     """
 
     weak_contact: bool
     additive: bool
     d1: bool
-    d1_plus: tuple[bool, ...]
     d2: tuple[bool, ...]
     d2_minus: bool
     d2_all: bool
@@ -194,7 +200,6 @@ class AxiomProfile(NamedTuple):
             "weak_contact": self.weak_contact,
             "additive": self.additive,
             "d1": self.d1,
-            "d1_plus": list(self.d1_plus),
             "d2": list(self.d2),
             "d2_minus": self.d2_minus,
             "d2_all": self.d2_all,
@@ -288,15 +293,18 @@ def _selector_sums(
     return [index[s] for s in sums]
 
 
-def _common_bound(lattice: FiniteJoinSemilattice, x: int, sums: list[int]) -> int:
-    """Elements below x + s for every selector sum s; 0 once the meet empties."""
-    below = lattice.below_masks
-    bounded = full_mask(lattice.size)
-    for s in sums:
-        bounded &= below[lattice.join(x, s)]
-        if not bounded:
-            break
-    return bounded
+def _common_points(
+    lattice: FiniteJoinSemilattice, pairs: Iterable[tuple[int, int]]
+) -> int:
+    """The ground points in every selector sum over ``pairs``: those in both
+    components of some pair.  A selector misses a point p iff each pair has
+    a component without p.  So, joins being unions, x + s bounds b for every
+    selector sum s iff b lies inside x and these points."""
+    carrier = lattice.carrier
+    common = 0
+    for x, y in pairs:
+        common |= carrier[x] & carrier[y]
+    return common
 
 
 def _d1plus_violated(cs: ContactStructure) -> bool:
@@ -313,17 +321,25 @@ def _d2_violated(cs: ContactStructure) -> bool:
 def _d2minus_slots(cs: ContactStructure) -> Iterator[tuple[int, int, bool]]:
     """The first-slot pairs (x1, y1) of d2minus in scan order, each with the
     column test's answer: whether some b in D(x1) is in contact with some a
-    in D(y1).  With all remaining pairs in play, D(x1) and D(y1) are exactly
-    the b-side and a-side bounds, so d2minus fails with first pair (x1, y1)
-    iff the answer is yes."""
-    rows, domains = cs.contact.rows, cs.column_domains
-    for x1 in range(cs.size):
+    in D(y1), D(x) the elements inside carrier[x] | common(P), P all the
+    non-contact pairs (``_common_points``).  With all remaining pairs in
+    play, D(x1) and D(y1) are exactly the b-side and a-side bounds, so
+    d2minus fails with first pair (x1, y1) iff the answer is yes.  D(x1)
+    is built only for an x1 with a partner, and D(y1) only when D(x1)
+    reaches some contact."""
+    lattice, rows, size = cs.lattice, cs.contact.rows, cs.size
+    carrier, everything = lattice.carrier, full_mask(size)
+    common = _common_points(lattice, cs.contact.noncontact_pairs())
+    for x1 in range(size):
+        partners = (everything & ~rows[x1]) >> x1
+        if not partners:
+            continue
         reach = 0
-        for b in iter_bits(domains[x1]):
+        for b in iter_bits(lattice.subsets_of(carrier[x1] | common)):
             reach |= rows[b]
-        for y1 in range(x1, cs.size):
-            if not (rows[x1] >> y1) & 1:
-                yield x1, y1, bool(reach & domains[y1])
+        for off in iter_bits(partners):
+            y1 = x1 + off
+            yield x1, y1, bool(reach and reach & lattice.subsets_of(carrier[y1] | common))
 
 
 def _d2minus_violated(cs: ContactStructure) -> bool:
@@ -460,10 +476,14 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
 
     A distinguished pair (x1, y1) is searched only if the column test finds
     a violation with it (``_d2minus_slots``); the search then gives the
-    witness with the fewest remaining pairs.
+    witness with the fewest remaining pairs.  Each remaining set ``rest``
+    costs one OR per pair and two ``subsets_of`` calls: b's bound is the
+    elements inside carrier[x1] | common(rest), a's the same with y1.
+    Both always hold 0, so every set reaches the contact scan.
     """
     start = time.perf_counter()
     lattice, rel = cs.lattice, cs.contact
+    carrier = lattice.carrier
     nonzero_pairs = rel.noncontact_pairs()
     examined = 0
     for x1, y1, violated in _d2minus_slots(cs):
@@ -474,13 +494,9 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
         for r in range(len(pool) + 1):
             for rest in combinations(pool, r):
                 examined += 1
-                sums = _selector_sums(lattice, rest)
-                side_b = _common_bound(lattice, x1, sums)
-                if not side_b:
-                    continue
-                side_a = _common_bound(lattice, y1, sums)
-                if not side_a:
-                    continue
+                common = _common_points(lattice, rest)
+                side_b = lattice.subsets_of(carrier[x1] | common)
+                side_a = lattice.subsets_of(carrier[y1] | common)
                 for b in iter_bits(side_b):
                     hit = rel.rows[b] & side_a
                     if hit:
@@ -499,10 +515,10 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
 
 
 def profile_of(cs: ContactStructure, depth: int = 3) -> AxiomProfile:
-    """Every schema's flags, d1+ and d2 at levels 1..depth; deterministic.
-    The weak contact check is the first thing ``check_additive`` does.  A
-    flag needs no witness, so d1, every d1+ level and d2minus are their
-    column tests alone."""
+    """Every schema's flags, d2 at levels 1..depth; deterministic.  The
+    weak contact check is the first thing ``check_additive`` does.  A flag
+    needs no witness, so d1 (which d1+ repeats at every level) and d2minus
+    are their column tests alone."""
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
     additive = check_additive(cs).passed
@@ -515,7 +531,6 @@ def profile_of(cs: ContactStructure, depth: int = 3) -> AxiomProfile:
         weak_contact=True,
         additive=additive,
         d1=d1,
-        d1_plus=(d1,) * depth,
         d2=tuple(n < first2 for n in range(1, depth + 1)),
         d2_minus=not _d2minus_violated(cs),
         d2_all=m2 is None,

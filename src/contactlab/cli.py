@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -183,7 +184,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     with _writing(args.out), open(summary, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         header = ["key", "size", "noncontact_pairs", "weak_contact", "additive", "d1"]
-        header += [f"d1plus_{i + 1}" for i in range(args.depth)]
         header += [f"d2_{i + 1}" for i in range(args.depth)]
         header += ["d2_minus", "d2_all", "weak_representable", "overlap_representable"]
         writer.writerow(header)
@@ -196,7 +196,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 r.profile.additive,
                 r.profile.d1,
             ]
-            row += list(r.profile.d1_plus) + list(r.profile.d2)
+            row += list(r.profile.d2)
             row += [
                 r.profile.d2_minus,
                 r.profile.d2_all,
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enumerate", help="classify all small contact semilattices")
     enum.add_argument("--max-size", type=int, required=True)
-    enum.add_argument("--depth", type=_positive_int, default=3, help="d1+/d2 level bound")
+    enum.add_argument("--depth", type=_positive_int, default=3, help="d2 level bound")
     enum.add_argument("--out", required=True, help="output directory")
     enum.add_argument("--threads", type=_positive_int, default=1)
     enum.set_defaults(func=cmd_enumerate)
@@ -300,12 +300,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (SchemaError, InvalidContactError, CapExceededError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except OutputError as exc:
         return _usage_error(str(exc))
+    except BrokenPipeError as exc:
+        # A reader that closed early; the buffered rest goes to os.devnull,
+        # so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _usage_error(f"cannot write standard output: {exc.strerror}")
 
 
 def entry() -> None:

@@ -514,14 +514,6 @@ class ContactStructure:
         columns, images = self.canonical_images
         return self.lattice.meets(columns, images)
 
-    @cached_property
-    def column_domains(self) -> tuple[int, ...]:
-        """D(x) for every element x: the elements whose image lies inside the
-        image of x, i.e. what x plus every selector sum over all pairs bounds."""
-        columns, images = self.canonical_images
-        everything = full_mask(len(columns))
-        return self.lattice.meets(columns, [everything ^ img for img in images])
-
     def first_uncovered_pair(self, disjoint: Sequence[int]) -> tuple[int, int] | None:
         """The first uncovered contact pair, given per element the elements
         of disjoint image: the least a >= 1 in contact with some b >= a in

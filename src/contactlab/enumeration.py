@@ -370,7 +370,7 @@ def classify_corpus(max_size: int, depth: int = 3, threads: int = 1) -> list[Cor
     threads.  One function classifies and profiles each lattice, in this
     process or in a worker."""
     check_corpus_caps(max_size, depth)
-    provenance = {"max_size": max_size, "d1_plus_max": depth, "d2_max": depth}
+    provenance = {"max_size": max_size, "d2_max": depth}
     lattices = list(enumerate_semilattices(max_size))
     classify = partial(_classify_lattice, depth=depth, provenance=provenance)
     # A forked pool starts every worker at once, so ask for no more workers
@@ -406,10 +406,6 @@ def corpus_implications(records: list[CorpusRecord]) -> list[dict[str, Any]]:
         return r.structure.contact.rows == overlap_rows[lattice]
 
     checks = [
-        (
-            "d1-implies-d1plus",
-            lambda r: (not r.profile.d1) or all(r.profile.d1_plus),
-        ),
         (
             "d1-implies-d2minus",
             lambda r: (not r.profile.d1) or r.profile.d2_minus,

@@ -30,6 +30,12 @@ pair.  The library must match them, error text included.
 the admissible columns from the non-contact pairs and decide the column
 tests and representability pair by pair, as the library did before all
 three read one set of canonical images.
+``gated_check_d2_minus`` is d2minus as the library decided it before it
+read the ground points: ``column_domains`` (the meets of the complemented
+admissible-column images) gate each first-slot pair
+(``d2minus_slots_by_columns``), and ``common_bound``
+meets the down-sets of x + s over each pair set's selector sums.  The
+library must match it, ``examined`` included.
 
 Some builders serve only the tests: ``contact_from_related_pairs`` (a
 relation from its related pairs), ``identity_map`` and
@@ -629,6 +635,75 @@ def check_d2_minus(cs: ContactStructure) -> Verdict:
                     side_a &= below[lattice.join(y1, s)]
                     if not side_a:
                         break
+                if not side_a:
+                    continue
+                for b in iter_bits(side_b):
+                    hit = rel.rows[b] & side_a
+                    if hit:
+                        a = next(iter_bits(hit))
+                        witness = Witness(
+                            "d2minus", (("a", a), ("b", b)), ((x1, y1),) + rest
+                        )
+                        return Verdict(
+                            "d2minus", {}, False, witness, examined,
+                            time.perf_counter() - start,
+                        )
+    return Verdict("d2minus", {}, True, None, examined, time.perf_counter() - start)
+
+
+def column_domains(cs: ContactStructure) -> tuple[int, ...]:
+    """D(x) for every element x: the elements whose image lies inside the
+    image of x, i.e. what x plus every selector sum over all pairs bounds."""
+    columns, images = cs.canonical_images
+    everything = full_mask(len(columns))
+    return cs.lattice.meets(columns, [everything ^ img for img in images])
+
+
+def common_bound(lattice: FiniteJoinSemilattice, x: int, sums: list[int]) -> int:
+    """Elements below x + s for every selector sum s; 0 once the meet empties."""
+    below = lattice.below_masks
+    bounded = full_mask(lattice.size)
+    for s in sums:
+        bounded &= below[lattice.join(x, s)]
+        if not bounded:
+            break
+    return bounded
+
+
+def d2minus_slots_by_columns(cs: ContactStructure):
+    """The first-slot pairs (x1, y1) in scan order, each with whether some
+    b in D(x1) is in contact with some a in D(y1), D from the columns."""
+    rows, domains = cs.contact.rows, column_domains(cs)
+    for x1 in range(cs.size):
+        reach = 0
+        for b in iter_bits(domains[x1]):
+            reach |= rows[b]
+        for y1 in range(x1, cs.size):
+            if not (rows[x1] >> y1) & 1:
+                yield x1, y1, bool(reach & domains[y1])
+
+
+def gated_check_d2_minus(cs: ContactStructure) -> Verdict:
+    """d2minus as the library decided it before it read the ground points:
+    each first-slot pair gated by the column domains, then each remaining
+    pair set's selector sums meeting below x1 + s and y1 + s."""
+    start = time.perf_counter()
+    lattice, rel = cs.lattice, cs.contact
+    nonzero_pairs = rel.noncontact_pairs()
+    examined = 0
+    for x1, y1, violated in d2minus_slots_by_columns(cs):
+        examined += 1
+        if not violated:
+            continue
+        pool = [p for p in nonzero_pairs if p != (x1, y1)]
+        for r in range(len(pool) + 1):
+            for rest in combinations(pool, r):
+                examined += 1
+                sums = _selector_sums(lattice, rest)
+                side_b = common_bound(lattice, x1, sums)
+                if not side_b:
+                    continue
+                side_a = common_bound(lattice, y1, sums)
                 if not side_a:
                     continue
                 for b in iter_bits(side_b):

@@ -382,7 +382,6 @@ def test_profile_of_separator(sep2):
     profile = profile_of(sep2.structure, 2)
     assert profile.weak_contact
     assert profile.d1
-    assert profile.d1_plus == (True, True)
     assert profile.d2 == (True, False)
     assert not profile.d2_all
     assert profile.d2_all_least_failing == 2
@@ -394,7 +393,7 @@ def test_profile_of_separator(sep2):
 def test_profile_of_powerset(ps3):
     profile = profile_of(ps3)
     assert profile.additive and profile.d1 and profile.d2_all
-    assert all(profile.d1_plus) and all(profile.d2)
+    assert all(profile.d2)
     assert profile.d2_minus
 
 
@@ -403,7 +402,7 @@ def test_profile_of_two_element_chain():
     cs = ContactStructure(lattice, contact_from_related_pairs(2, []))
     profile = profile_of(cs)
     assert profile.additive and profile.d1 and profile.d2_all and profile.d2_minus
-    assert all(profile.d1_plus) and all(profile.d2)
+    assert all(profile.d2)
 
 
 def test_profile_levels_beyond_pair_count_pass(ps2):

@@ -169,6 +169,9 @@ def test_enumerate_size_five_clean(tmp_path):
 def test_corpus_bytes_are_pinned(tmp_path, capsys):
     # The corpus files to size 7, byte for byte: what a profile skips (d2
     # level 1 on a weak contact, the d2minus search) must not move a byte.
+    # The pins are the earlier files less the d1+ flags per level, which
+    # repeated d1: the profile's "d1_plus", provenance "d1_plus_max", the
+    # d1plus_k columns and the "d1-implies-d1plus" implication.
     out = tmp_path / "seven"
     argv = ["enumerate", "--max-size", "7", "--depth", "3", "--out", str(out)]
     assert main(argv) == 0
@@ -178,9 +181,9 @@ def test_corpus_bytes_are_pinned(tmp_path, capsys):
         for name in ("corpus.jsonl", "summary.csv", "implications.json")
     }
     assert digests == {
-        "corpus.jsonl": "68cefbf2fd124850179165b41026201eed841ad373ae8bbdfe076e4fad5f1484",
-        "summary.csv": "3fe41940bd254763a37bc424c1f4f0f35b20b7aed7f4e183b128377f76506f99",
-        "implications.json": "f515c1f42cf61e893ab8eb1db6c224fc28037852ff7595af34f367bf112c1a22",
+        "corpus.jsonl": "f682e510392b04638af9ddce376ae515b9e1fadc34e8ed5e3fb5c0a03fd3ebc3",
+        "summary.csv": "e09c7a3697eea7fd137457d442d9b0e8bef477b08b663a0b8225478a5e00beef",
+        "implications.json": "15a021a19e832040eda09a2acf8d42abc4da0e2c33ac46eb0b26554d165a1df8",
     }
     # The records without their keys, sorted by structure: a change of key
     # definition may move the keys and the order within each size, and
@@ -192,7 +195,7 @@ def test_corpus_bytes_are_pinned(tmp_path, capsys):
     records.sort(key=lambda record: json.dumps(record["structure"], sort_keys=True))
     stripped = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     assert hashlib.sha256(stripped.encode()).hexdigest() == (
-        "d843385b95e3bbb98696395dfbdd1ac5ea5c98012f55a85eb3851714309f7c41"
+        "2b8efd95ef9ea374c737703e4f1f55b49a45d4dc6f5fe7c3dc545df5706e14b5"
     )
 
 
@@ -271,6 +274,36 @@ def test_unwritable_out_is_a_usage_error(argv, s2_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_an_output_error(unbuffered):
+    # The read end closes before the child writes: buffered, the write
+    # fails at the flush; unbuffered, at the first print.
+    package_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(contactlab.__file__))
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "contactlab.cli", "sn", "--n", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": package_root,
+                "PYTHONUNBUFFERED": unbuffered,
+            },
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: cannot write standard output: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
 
 
 def test_enumerate_threads_deterministic(tmp_path):

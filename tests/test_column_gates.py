@@ -3,7 +3,9 @@
 The library runs each d1+/d2/d2minus pair-subset search only when the
 polynomial admissible-column test finds a violation.  Swapping the ungated
 scans of ``scan_oracles`` back in must leave every verdict, param, witness
-and profile unchanged; only the ``examined`` counts may differ.
+and profile unchanged; only the ``examined`` counts may differ.  d2minus,
+decided on the ground points, must also match the column-gated selector-sum
+search it replaced, ``examined`` included.
 """
 
 import pytest
@@ -11,10 +13,12 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import scan_oracles
 from contactlab import axioms
+from contactlab.constructions import build_separator
 from contactlab.core import (
     ContactRelation,
     ContactStructure,
     FiniteJoinSemilattice,
+    contact_all_except,
     iter_bits,
     join_closure,
     overlap_contact,
@@ -61,6 +65,17 @@ def ungated_outcomes(cs):
     return result
 
 
+def assert_d2_minus_matches_reference(cs):
+    """check_d2_minus equals the replaced decider in full, elapsed time
+    aside, and the profile's flag on a fresh structure agrees."""
+    reference = scan_oracles.gated_check_d2_minus(cs)
+    verdict = axioms.check_d2_minus(cs)
+    assert verdict._replace(elapsed=0.0) == reference._replace(elapsed=0.0)
+    fresh = ContactStructure(cs.lattice, cs.contact)
+    assert axioms.profile_of(fresh).d2_minus == reference.passed
+    return verdict
+
+
 def test_agrees_with_ungated_scans_on_every_contact_to_size_six():
     checked = 0
     for lattice in enumerate_semilattices(6):
@@ -78,6 +93,7 @@ def test_profile_d2_minus_flag_agrees_with_the_ungated_search_to_size_seven():
             cs = ContactStructure(lattice, relation)
             expected = scan_oracles.check_d2_minus(cs).passed
             assert axioms.profile_of(cs).d2_minus == expected, lattice.carrier
+            assert assert_d2_minus_matches_reference(cs).passed == expected
             checked += 1
     assert checked == 2043
 
@@ -132,6 +148,40 @@ def overlap_closures(draw):
 def test_agrees_with_ungated_scans_on_random_closures(cs):
     assert axioms.check_weak_contact(cs).passed
     assert outcomes(cs) == ungated_outcomes(cs)
+    assert_d2_minus_matches_reference(cs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_d2_minus_matches_the_replaced_decider_on_the_separators(n):
+    assert assert_d2_minus_matches_reference(build_separator(n).structure).passed
+
+
+def common_points_family(r):
+    """Ground points U, V, p_1..p_r; the pairs x_i = U + p_i, y_i = V + p_i
+    and B = p_1 + ... + p_r generate the lattice, and everything but the r
+    pairs (x_i, y_i) is in contact.  B is below the selector sums over a
+    pair set only once the set holds every pair."""
+    u, v = 0b01, 0b10
+    points = [1 << (2 + i) for i in range(r)]
+    lattice = join_closure(2 + r, [u | p for p in points] + [v | p for p in points]
+                           + [sum(points)])
+    index = lattice.index
+    pairs = [(index[u | p], index[v | p]) for p in points]
+    cs = ContactStructure(lattice, contact_all_except(lattice.size, pairs))
+    return cs, sorted(pairs), index[sum(points)]
+
+
+def test_d2_minus_needs_every_pair_of_the_common_points_family():
+    # The first slot (0, 0) fails only with all r pairs, after every smaller
+    # pair set: 1 first-slot pair plus 2^r sets examined.
+    cs, pairs, b = common_points_family(8)
+    assert axioms.check_weak_contact(cs).passed
+    verdict = assert_d2_minus_matches_reference(cs)
+    assert not verdict.passed
+    assert verdict.witness.pairs == ((0, 0), *pairs)
+    assert dict(verdict.witness.elements) == {"a": b, "b": b}
+    assert verdict.examined == 1 + 2**8
+    assert axioms.revalidate_witness(cs, "d2minus", {}, verdict.witness)
 
 
 def test_powerset_of_five_with_overlap_passes():
@@ -142,5 +192,5 @@ def test_powerset_of_five_with_overlap_passes():
     assert axioms.check_d2_minus(cs).passed
     profile = axioms.profile_of(cs)
     assert profile.additive and profile.d1 and profile.d2_all and profile.d2_minus
-    assert all(profile.d1_plus) and all(profile.d2)
+    assert all(profile.d2)
     assert profile.d2_all_least_failing is None

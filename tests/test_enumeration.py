@@ -52,6 +52,7 @@ from scan_oracles import (
     contacts_by_filter,
     count_semilattice_tables,
     find_minimal_separators,
+    gated_check_d2_minus,
     iso_class_key_reference,
     lattices_by_poset_growth,
 )
@@ -387,7 +388,7 @@ def test_automorphisms_match_search_over_all_permutations_at_size_eight():
 @pytest.fixture(scope="module")
 def chunks_to_eight():
     """Each lattice up to size 8 with its corpus records at depth 1."""
-    provenance = {"max_size": 8, "d1_plus_max": 1, "d2_max": 1}
+    provenance = {"max_size": 8, "d2_max": 1}
     return [
         (lattice, _classify_lattice(lattice, 1, provenance))
         for lattice in enumerate_semilattices(8)
@@ -417,7 +418,7 @@ def test_orbit_keys_match_one_stage_reference_to_size_eight(chunks_to_eight):
 def test_orbit_dedupe_matches_key_dedupe():
     # Same representatives, keys and order as keying every contact, on every
     # lattice up to size 7.
-    provenance = {"max_size": 7, "d1_plus_max": 1, "d2_max": 1}
+    provenance = {"max_size": 7, "d2_max": 1}
     classes = 0
     for lattice in enumerate_semilattices(7):
         records = _classify_lattice(lattice, 1, provenance)
@@ -448,7 +449,7 @@ def test_automorphism_groups():
 def test_classes_on_m_k_are_unlabelled_graphs(k, graphs):
     # The contacts on M_k are the graphs on its k atoms, so its classes are
     # the unlabelled graphs on k vertices (OEIS A000088).
-    provenance = {"max_size": k + 2, "d1_plus_max": 1, "d2_max": 1}
+    provenance = {"max_size": k + 2, "d2_max": 1}
     assert len(_classify_lattice(m_k(k), 1, provenance)) == graphs
 
 
@@ -471,7 +472,7 @@ def test_worker_chunks_pickle_without_search_caches():
     # What a worker sends back per lattice: records whose structures carry
     # their defining fields only.  152,602 bytes is the size to carrier 7
     # with every cached search result stripped by hand.
-    provenance = {"max_size": 7, "d1_plus_max": 3, "d2_max": 3}
+    provenance = {"max_size": 7, "d2_max": 3}
     total = 0
     for lattice in enumerate_semilattices(7):
         chunk = _classify_lattice(lattice, 3, provenance)
@@ -481,7 +482,10 @@ def test_worker_chunks_pickle_without_search_caches():
             cs = copy.structure
             assert cs == record.structure and copy.key == record.key
             assert cs.d2_holds_to == 0
-            assert not {"canonical_images", "column_domains"} & set(vars(cs))
+            assert not {
+                "canonical_images", "image_collision", "disjoint_images",
+                "weak_contact_violation",
+            } & set(vars(cs))
             assert not {"leq_masks", "below_masks"} & set(vars(cs.lattice))
         assert len({id(copy.structure.lattice) for copy in pickle.loads(data)}) <= 1
     assert total <= 152_602
@@ -495,8 +499,8 @@ def test_corpus_profiles_revalidate():
             cs = ContactStructure(record.structure.lattice, record.structure.contact)
             profile = record.profile
             assert profile.d1 == check_d1(cs).passed
-            for level, passed in enumerate(profile.d1_plus, start=1):
-                assert check_d1_plus(cs, level).passed == passed
+            for level in range(1, 4):
+                assert check_d1_plus(cs, level).passed == profile.d1
             for level, passed in enumerate(profile.d2, start=1):
                 verdict = check_d2(cs, level)
                 assert verdict.passed == passed
@@ -509,7 +513,6 @@ def test_corpus_profiles_revalidate():
 def test_corpus_implications_all_hold_size5():
     report = corpus_implications(classify_corpus(5))
     assert {item["name"] for item in report} == {
-        "d1-implies-d1plus",
         "d1-implies-d2minus",
         "overlap-and-d1-implies-d2all-and-add",
         "weak-representable-iff-d1",
@@ -546,6 +549,10 @@ def test_thirteen_element_level_three_separator():
     ]
     for check in (check_weak_contact, check_additive, check_d1, check_d2_minus):
         assert check(cs).passed
+    fresh = ContactStructure(cs.lattice, cs.contact)
+    assert check_d2_minus(fresh)._replace(elapsed=0.0) == gated_check_d2_minus(
+        fresh
+    )._replace(elapsed=0.0)
     for level in (1, 2):
         assert check_d2(cs, level).passed and check_d2_naive(cs, level).passed
     verdict = check_d2(cs, 3)
@@ -598,4 +605,5 @@ def test_corpus_record_json_shape():
     payload = record.to_json()
     assert payload["size"] == record.structure.size
     assert payload["structure"]["version"] == 1
-    assert set(payload["provenance"]) == {"max_size", "d1_plus_max", "d2_max"}
+    assert set(payload["provenance"]) == {"max_size", "d2_max"}
+    assert "d1_plus" not in payload["profile"]
