@@ -1,10 +1,12 @@
 """CLI surface: exit codes, certificates, corpus files, DOT output."""
 
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -276,10 +278,29 @@ def test_unwritable_out_is_a_usage_error(argv, s2_file, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_closed_stdout_is_an_output_error(unbuffered):
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["sn", "--n", "3"], ""),
+        (["sn", "--n", "3"], "1"),
+        (["--help"], ""),
+        (["--help"], "1"),
+        (["--version"], ""),
+        (["--version"], "1"),
+    ],
+    ids=[
+        "buffered",
+        "unbuffered",
+        "help-buffered",
+        "help-unbuffered",
+        "version-buffered",
+        "version-unbuffered",
+    ],
+)
+def test_closed_stdout_is_an_output_error(argv, unbuffered):
     # The read end closes before the child writes: buffered, the write
-    # fails at the flush; unbuffered, at the first print.
+    # fails at the flush; unbuffered, at the first print. --help and
+    # --version print from inside argparse, which drops a failed write.
     package_root = os.path.dirname(
         os.path.dirname(os.path.abspath(contactlab.__file__))
     )
@@ -287,7 +308,7 @@ def test_closed_stdout_is_an_output_error(unbuffered):
     os.close(read_end)
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "contactlab.cli", "sn", "--n", "3"],
+            [sys.executable, "-m", "contactlab.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
@@ -304,6 +325,182 @@ def test_closed_stdout_is_an_output_error(unbuffered):
     assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
     assert "Exception ignored" not in result.stderr
+
+
+def _out_argv(command, s2_file, tmp_path):
+    """The argv of one ``--out`` writer, without its ``--out``."""
+    if command == "export-dot":
+        cert = tmp_path / "rep.json"
+        assert main(["represent", s2_file, "--mode", "weak", "--out", str(cert)]) == 0
+        return ["export-dot", str(cert)]
+    return {
+        "sn": ["sn", "--n", "2"],
+        "check": ["check", s2_file, "d2", "--n", "2"],
+        "represent": ["represent", s2_file, "--mode", "weak"],
+        "enumerate": ["enumerate", "--max-size", "3"],
+    }[command]
+
+
+ENUMERATE_FILES = ("corpus.jsonl", "summary.csv", "implications.json")
+
+
+@pytest.mark.parametrize(
+    "command", ["sn", "check", "represent", "export-dot", "enumerate"]
+)
+def test_overwriting_a_longer_file_gives_the_bytes_of_a_fresh_write(
+    command, s2_file, tmp_path, monkeypatch
+):
+    # A still clock makes the certificates' elapsed_s repeat.
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    argv = _out_argv(command, s2_file, tmp_path)
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    if command == "enumerate":
+        code = main(argv + ["--out", str(fresh)])
+        names = ENUMERATE_FILES
+    else:
+        fresh.mkdir()
+        code = main(argv + ["--out", str(fresh / "out")])
+        names = ("out",)
+    stale.mkdir()
+    for name in names:
+        size = (fresh / name).stat().st_size
+        (stale / name).write_bytes(b"stale tail\n" * (size // 11 + 100))
+    target = stale if command == "enumerate" else stale / "out"
+    assert main(argv + ["--out", str(target)]) == code
+    for name in names:
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_out_to_a_device_is_written_without_the_cut(capsys):
+    # ftruncate on a character device fails, so the cut must be skipped.
+    assert main(["sn", "--n", "2", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out.endswith(f"certificate written to {os.devnull}\n")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_new_out_file_gets_the_mode_open_gives(umask, tmp_path):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        assert main(["sn", "--n", "2", "--out", str(tmp_path / "cert.json")]) == 0
+        assert main(["enumerate", "--max-size", "2", "--out", str(tmp_path / "d")]) == 0
+    finally:
+        os.umask(previous)
+    expected = (tmp_path / "reference").stat().st_mode
+    assert (tmp_path / "cert.json").stat().st_mode == expected
+    for name in ENUMERATE_FILES:
+        assert (tmp_path / "d" / name).stat().st_mode == expected
+
+
+@pytest.mark.parametrize(
+    "error",
+    [RuntimeError("boom"), OSError(errno.ENOSPC, "No space left on device")],
+    ids=["runtime-error", "os-error"],
+)
+def test_failure_part_way_through_the_corpus_leaves_no_stale_tail(
+    error, tmp_path, monkeypatch, capsys
+):
+    fresh = tmp_path / "fresh"
+    assert main(["enumerate", "--max-size", "3", "--out", str(fresh)]) == 0
+    written = "".join(
+        fresh.joinpath("corpus.jsonl").read_text(encoding="utf-8").splitlines(True)[:2]
+    )
+
+    class Failing:
+        def to_json(self):
+            raise error
+
+    real = cli.classify_corpus
+    monkeypatch.setattr(
+        cli, "classify_corpus", lambda *a: [*real(*a)[:2], Failing()]
+    )
+    out = tmp_path / "stale"
+    out.mkdir()
+    (out / "corpus.jsonl").write_text("stale tail\n" * 1000, encoding="utf-8")
+    capsys.readouterr()
+    argv = ["enumerate", "--max-size", "3", "--out", str(out)]
+    if isinstance(error, OSError):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No space left on device\n"
+        )
+    else:
+        with pytest.raises(RuntimeError, match="boom"):
+            main(argv)
+    assert (out / "corpus.jsonl").read_text(encoding="utf-8") == written
+
+
+def test_a_write_past_the_file_size_limit_leaves_no_stale_tail(tmp_path):
+    # A child whose RLIMIT_FSIZE stops corpus.jsonl (8,198 bytes to size 5,
+    # past one 8 KiB buffer) three bytes short, over a 110 KB file: the
+    # final flush fails with EFBIG, and the file is still cut after the
+    # last byte that reached it.
+    package_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(contactlab.__file__))
+    )
+    argv = ["enumerate", "--max-size", "5", "--out"]
+    assert main(argv + [str(tmp_path / "fresh")]) == 0
+    fresh = (tmp_path / "fresh" / "corpus.jsonl").read_bytes()
+    limit = len(fresh) - 3
+    assert limit > 8192
+    out = tmp_path / "stale"
+    out.mkdir()
+    (out / "corpus.jsonl").write_bytes(b"stale tail\n" * 10_000)
+    child = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+        "from contactlab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, *argv, str(out)],
+        capture_output=True,
+        text=True,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": package_root,
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"error: cannot write {out}: File too large\n"
+    assert (out / "corpus.jsonl").read_bytes() == fresh[:limit]
+
+
+def test_out_files_are_never_truncated_on_open(tmp_path, monkeypatch):
+    # Every --out file goes through os.open without O_TRUNC and is cut once,
+    # at its final length: Path.write_text or open(..., "w") would truncate
+    # on open, and would not show up here as an os.open of the target.
+    cert = tmp_path / "cert.json"
+    corpus = tmp_path / "corpus"
+    assert main(["sn", "--n", "2", "--out", str(cert)]) == 0
+    assert main(["enumerate", "--max-size", "3", "--out", str(corpus)]) == 0
+    opened, cuts = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def spy_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        opened.append((os.fspath(path), flags, fd))
+        return fd
+
+    def spy_ftruncate(fd, length):
+        cuts.append((fd, length))
+        return real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+    assert main(["sn", "--n", "3", "--out", str(cert)]) == 0
+    assert main(["enumerate", "--max-size", "2", "--out", str(corpus)]) == 0
+    monkeypatch.undo()
+
+    assert not [call for call in opened if call[1] & os.O_TRUNC]
+    assert not [cut for cut in cuts if cut[1] == 0]
+    targets = [str(cert)] + [str(corpus / name) for name in ENUMERATE_FILES]
+    written = [(path, fd) for path, flags, fd in opened if flags & os.O_WRONLY]
+    assert [path for path, _ in written] == targets
+    assert cuts == [(fd, os.stat(path).st_size) for path, fd in written]
 
 
 def test_enumerate_threads_deterministic(tmp_path):
