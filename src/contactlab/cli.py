@@ -6,12 +6,17 @@ on input or usage errors.
 
 Every ``--out`` file is written through ``_output``: an existing file is
 rewritten in place and then cut to the new length, never opened with
-``O_TRUNC``.  On ext4 (with ``auto_da_alloc``, its default) closing a file
-that was truncated to zero starts its writeback, which measured about 55 µs
-for a 300-byte certificate and 242 µs for the 440 KB ``sn --n 4`` one,
-against 3.2 µs and 15.6 µs in place.  A write that fails part-way leaves
-what was written up to the failure and no stale tail; a target that is not
-a regular file, such as ``/dev/null``, is written without the cut.
+``O_TRUNC``.  The gain is on reruns into an existing, non-empty path: on
+ext4 (with ``auto_da_alloc``, its default) closing a file that was truncated
+to zero starts its writeback, which measured about 55 µs for a 300-byte
+certificate and 242 µs for the 440 KB ``sn --n 4`` one, against 3.2 µs and
+15.6 µs in place; a new file costs about the same either way.  A write that
+fails inside the process (an exception, Ctrl-C included) leaves what was
+written up to the failure and no stale tail.  A kill that runs no Python
+cleanup (``SIGTERM``'s default, ``SIGKILL``) or a machine crash before
+writeback can leave the new bytes followed by the old file's tail, where
+``O_TRUNC`` could leave only a prefix of the new output.  A target that is
+not a regular file, such as ``/dev/null``, is written without the cut.
 """
 
 from __future__ import annotations
