@@ -255,24 +255,28 @@ def require_weak_contact(cs: ContactStructure) -> None:
 
 
 def check_additive(cs: ContactStructure) -> Verdict:
-    """a d (b+c) implies a d b or a d c, over all triples."""
+    """a d (b+c) implies a d b or a d c, over all triples: for each nonzero
+    a, the b <= c ascending among the nonzero elements not in contact with
+    a, with b + c read off the carrier."""
     require_weak_contact(cs)
     start = time.perf_counter()
-    lattice, rel = cs.lattice, cs.contact
-    size = lattice.size
-    nonzero = full_mask(size) ^ 1
+    carrier, index = cs.lattice.carrier, cs.lattice.index
+    rows, nonzero = cs.contact.rows, full_mask(cs.size) ^ 1
     examined = 0
-    for a in range(1, size):
-        row = rel.rows[a]
+    for a in range(1, cs.size):
+        row = rows[a]
         strangers = nonzero & ~row
         for b in iter_bits(strangers):
-            rest = strangers >> b
-            for off in iter_bits(rest):
-                c = b + off
+            bits = carrier[b]
+            rest = strangers >> b << b
+            while rest:
+                low = rest & -rest
+                c = low.bit_length() - 1
                 examined += 1
-                if (row >> lattice.join(b, c)) & 1:
+                if (row >> index[bits | carrier[c]]) & 1:
                     witness = Witness("add", (("a", a), ("b", b), ("c", c)))
                     return _timed("add", {}, witness, examined, start)
+                rest ^= low
     return _timed("add", {}, None, examined, start)
 
 
@@ -324,22 +328,27 @@ def _d2minus_slots(cs: ContactStructure) -> Iterator[tuple[int, int, bool]]:
     in D(y1), D(x) the elements inside carrier[x] | common(P), P all the
     non-contact pairs (``_common_points``).  With all remaining pairs in
     play, D(x1) and D(y1) are exactly the b-side and a-side bounds, so
-    d2minus fails with first pair (x1, y1) iff the answer is yes.  D(x1)
-    is built only for an x1 with a partner, and D(y1) only when D(x1)
-    reaches some contact."""
+    d2minus fails with first pair (x1, y1) iff the answer is yes.  Each
+    D(x) is built at most once, on first use in either role: as x1 for an
+    x1 with a partner, as y1 only when D(x1) reaches some contact."""
     lattice, rows, size = cs.lattice, cs.contact.rows, cs.size
     carrier, everything = lattice.carrier, full_mask(size)
     common = _common_points(lattice, cs.contact.noncontact_pairs())
+    bounds: list[int | None] = [None] * size  # D(x), once built
     for x1 in range(size):
         partners = (everything & ~rows[x1]) >> x1
         if not partners:
             continue
+        if bounds[x1] is None:
+            bounds[x1] = lattice.subsets_of(carrier[x1] | common)
         reach = 0
-        for b in iter_bits(lattice.subsets_of(carrier[x1] | common)):
+        for b in iter_bits(bounds[x1]):
             reach |= rows[b]
         for off in iter_bits(partners):
             y1 = x1 + off
-            yield x1, y1, bool(reach and reach & lattice.subsets_of(carrier[y1] | common))
+            if reach and bounds[y1] is None:
+                bounds[y1] = lattice.subsets_of(carrier[y1] | common)
+            yield x1, y1, bool(reach and reach & bounds[y1])
 
 
 def _d2minus_violated(cs: ContactStructure) -> bool:
@@ -538,16 +547,36 @@ def profile_of(cs: ContactStructure, depth: int = 3) -> AxiomProfile:
     )
 
 
+# The witness kind each axiom's checker writes; d2all reports d2's witness.
+WITNESS_KINDS = {
+    "add": "add",
+    "d1": "d1",
+    "d1plus": "d1plus",
+    "d2": "d2",
+    "d2all": "d2",
+    "d2minus": "d2minus",
+}
+
+
 def revalidate_witness(
     cs: ContactStructure, axiom: str, params: dict[str, int], witness: Witness
 ) -> bool:
     """Re-check a fail witness: premises hold and the conclusion fails,
-    using only core-algebra operations."""
+    using only core-algebra operations.  The witness must have the kind the
+    axiom's checker writes (``WITNESS_KINDS``; any violated clause for
+    weak-contact), and a witness of d1 at most one pair, of d1plus or d2
+    at level n (1 unless given, as in ``CHECKERS``) at most n."""
     lattice, rel = cs.lattice, cs.contact
     related = rel.related
     leq = lattice.leq
     join = lattice.join
     roles = dict(witness.elements)
+    if axiom in WITNESS_KINDS and witness.kind != WITNESS_KINDS[axiom]:
+        return False
+    if axiom in ("d1", "d1plus", "d2"):
+        level = 1 if axiom == "d1" else params.get("n", 1)
+        if len(witness.pairs) > level:
+            return False
 
     if axiom == "weak-contact":
         if witness.kind == "zero":

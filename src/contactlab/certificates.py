@@ -10,9 +10,12 @@ the whole entry, so a certificate can be audited without trusting the
 process that wrote it.  Verification also requires every entry its command
 writes, so none can be dropped, and re-derives each with the expectation
 its command writes, not the recorded one.  Every int an entry records must
-be a JSON integer, and every boolean it or the conclusion records a JSON
-boolean, each refused by type before anything is compared.  Wall-clock
-stats are recorded but excluded from comparison.
+be a JSON integer, and every boolean it records a JSON boolean, each
+refused by type before anything is compared; the conclusion must be an
+object whose ``ok`` is a boolean.  A designated witness revalidates only
+with its axiom's witness kind and, at level n, at most n pairs
+(``axioms.revalidate_witness``).  Wall-clock stats are recorded but
+excluded from comparison.
 
 The embedded structure's text is written once, from the relation rows
 (``serialize.structure_dumps``): its SHA-256 is taken of that text, and the
@@ -339,9 +342,9 @@ def verify_certificate(cert: Any) -> list[str]:
         if field not in cert:
             raise SchemaError(f"{field}: missing certificate field")
     entries = certificate_entries(cert)
-    conclusion = cert.get("conclusion", {})
+    conclusion = cert.get("conclusion")
     if not isinstance(conclusion, dict):
-        raise SchemaError("conclusion: expected an object")
+        raise SchemaError("conclusion: expected an object with a boolean ok")
     params = cert["parameters"]
     if not isinstance(params, dict):
         raise SchemaError("parameters: expected an object")
@@ -364,7 +367,7 @@ def verify_certificate(cert: Any) -> list[str]:
             if type(value) is not bool:
                 raise SchemaError(f"{field}: expected a boolean, got {value!r}")
     recorded = conclusion.get("ok")
-    if recorded is not None and type(recorded) is not bool:
+    if type(recorded) is not bool:
         raise SchemaError(f"conclusion.ok: expected a boolean, got {recorded!r}")
     # The key each entry is written under, if any: every key needs an entry,
     # and an entry expects what its command writes, not what it records.
@@ -403,6 +406,6 @@ def verify_certificate(cert: Any) -> list[str]:
                 f"entries[{pos}]: {entry['kind']} {_entry_name(entry)} does not reproduce"
             )
 
-    if recorded is not None and recorded != conclusion_ok(entries):
+    if recorded != conclusion_ok(entries):
         problems.append("conclusion.ok does not match the recorded entries")
     return problems

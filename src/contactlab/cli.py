@@ -209,9 +209,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     records = classify_corpus(args.max_size, args.depth, args.threads)
 
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(…, sort_keys=True)
     with _writing(args.out), _output(out_dir / "corpus.jsonl") as handle:
         for record in records:
-            handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+            handle.write(encode(record.to_json()) + "\n")
 
     with _writing(args.out), _output(out_dir / "summary.csv", newline="") as handle:
         writer = csv.writer(handle)

@@ -126,16 +126,21 @@ def build_separator(n: int) -> SeparatorStructure:
     contact = contact_all_except(lattice.size, literal_pairs)
     cs = ContactStructure(lattice, contact)
 
-    if set(lattice.atoms()) != {idx[m] for m in gen_masks}:
+    designated = {idx[m] for m in gen_masks}
+    if set(lattice.atoms()) != designated:
         raise ConstructionError("designated elements are not exactly the atoms")
     if contact.noncontact_pairs() != sorted(
         tuple(sorted(p)) for p in literal_pairs
     ):
         raise ConstructionError("non-contact pairs differ from the literal pairs")
-    for bits in lattice.carrier[1:]:
-        if not any(is_subset(m, bits) for m in gen_masks):
+    # Each nonzero element's down-set, which the atom check built, must
+    # hold a designated element.
+    designated_mask = sum(1 << i for i in designated)
+    below, carrier = lattice.below_masks, lattice.carrier
+    for i in range(1, lattice.size):
+        if not below[i] & designated_mask:
             raise ConstructionError(
-                f"carrier element {bits:#x} dominates no designated element"
+                f"carrier element {carrier[i]:#x} dominates no designated element"
             )
     verdict = check_weak_contact(cs)
     if not verdict.passed:

@@ -26,9 +26,12 @@ only if they sit on the same lattice L and an automorphism of L maps one
 onto the other.  One pass per lattice over P gives Aut(L), the least
 relabelled order O* and one permutation p* giving it.  The permutations of
 P giving O* are exactly p* . a for a in Aut(L), so the least (order,
-contact) pair over P is O* with the least p*-relabelled member of the
-contact's Aut(L)-orbit.  The first contact of each orbit stands for its
-class, and its orbit is marked seen and keyed.
+contact) pair over P is O* with the least member of the contact's orbit
+relabelled by them.  The orbits are kept in that least labelling: each
+enumerated contact is relabelled once, by p*, and looked up among the
+orbits seen; the first contact of an unseen orbit stands for its class,
+and the rest of its orbit costs one relabelling per member, by a table for
+p* . a.  The class key is the digest of O* and the least member.
 
 A class is profiled where it is found: ``profile_of`` to one depth plus both
 representation deciders, lattice by lattice, in the calling process or in a
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from functools import partial
+from functools import cache, partial
 from itertools import permutations, product
 from math import comb
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -61,7 +64,7 @@ from .representation import (
 )
 from . import serialize
 
-SIZE_CAP = 8
+SIZE_CAP = 9
 # Levels above a structure's count of nonzero unrelated pairs repeat the
 # level below, and within SIZE_CAP that count is at most C(SIZE_CAP - 1, 2).
 DEPTH_CAP = comb(SIZE_CAP - 1, 2)
@@ -281,10 +284,20 @@ def enumerate_contacts(lattice: FiniteJoinSemilattice) -> Iterator[ContactRelati
 # isomorphism keys
 
 
-def _class_key(least: tuple[int, ...], relabelled: Iterable[tuple[int, ...]]) -> str:
-    """Digest of the lattice's least order and the least relabelled contact
-    of an orbit, each member relabelled by a permutation giving that order."""
-    return hashlib.sha256(repr((least, min(relabelled))).encode()).hexdigest()
+def _class_key(least: tuple[int, ...], orbit: Iterable[tuple[int, ...]]) -> str:
+    """Digest of the lattice's least order and the least member of an orbit
+    in the least labelling."""
+    return hashlib.sha256(repr((least, min(orbit))).encode()).hexdigest()
+
+
+def _least_labellings(
+    up: tuple[int, ...],
+) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
+    """The least relabelled order of ``up``, the permutation p* giving it,
+    and p* . a for every non-identity automorphism a: together they relabel
+    an orbit of contacts into the least labelling."""
+    least, best, automorphisms = _least_relabelling(up)
+    return least, best, [[best[i] for i in a] for a in automorphisms]
 
 
 def iso_class_key(cs: ContactStructure) -> str:
@@ -292,11 +305,10 @@ def iso_class_key(cs: ContactStructure) -> str:
     relabelled (order, contact) pair over the permutations that fix 0
     within groups of equal (up-count, down-count).  The order determines
     the joins, so it stands for the whole lattice.  Costs the lattice's
-    relabelling pass plus one relabelling per automorphism."""
-    least, best, automorphisms = _least_relabelling(cs.lattice.leq_masks)
+    relabelling pass plus one relabelling per orbit member."""
+    least, best, others = _least_labellings(cs.lattice.leq_masks)
     rows = cs.contact.rows
-    orbit = [rows] + [_apply_perm(rows, a) for a in automorphisms]
-    return _class_key(least, (_apply_perm(member, best) for member in orbit))
+    return _class_key(least, [_apply_perm(rows, p) for p in [best, *others]])
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +325,31 @@ class CorpusRecord(NamedTuple):
     provenance: dict[str, int]
 
     def to_json(self) -> dict[str, Any]:
+        """The corpus line's object.  Its structure is
+        ``serialize.structure_to_json(self.structure)``, with the lattice's
+        fields formatted once per lattice."""
+        cs = self.structure
+        fields = _lattice_fields(cs.lattice.width, cs.lattice.carrier)
         return {
             "key": self.key,
-            "size": self.structure.size,
-            "structure": serialize.structure_to_json(self.structure),
+            "size": cs.size,
+            "structure": {
+                **fields,
+                "carrier": list(fields["carrier"]),
+                "contact": serialize.contact_pairs(cs.contact.rows),
+            },
             "profile": self.profile.to_json(),
             "provenance": dict(self.provenance),
         }
+
+
+@cache
+def _lattice_fields(width: int, carrier: tuple[int, ...]) -> dict[str, Any]:
+    """``serialize.structure_fields`` of a corpus lattice, kept per lattice:
+    the lattices within SIZE_CAP are few (1,378 to size 9).  Callers copy
+    the carrier list before handing it out."""
+    lattice = FiniteJoinSemilattice.from_closed_carrier(width, carrier)
+    return serialize.structure_fields(lattice, None)
 
 
 def _relabelling(p: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -341,16 +371,17 @@ def _classify_lattice(
     """One record per Aut(L) orbit of contacts on the lattice L, keyed off
     its orbit and ordered by its first contact (see the module docstring),
     and profiled to ``depth``."""
-    least, best, automorphisms = _least_relabelling(lattice.leq_masks)
-    symmetries = [_relabelling(a) for a in automorphisms]
+    least, best, others = _least_labellings(lattice.leq_masks)
     to_least = _relabelling(best)
+    to_orbit = [_relabelling(p) for p in others]
     records = []
     seen: set[tuple[int, ...]] = set()
     for contact in enumerate_contacts(lattice):
         rows = contact.rows
-        if rows in seen:
+        first = to_least(rows)
+        if first in seen:
             continue
-        orbit = [rows] + [relabel(rows) for relabel in symmetries]
+        orbit = [first] + [relabel(rows) for relabel in to_orbit]
         seen.update(orbit)
         cs = ContactStructure(lattice, contact)
         profile = profile_of(cs, depth)._replace(
@@ -359,8 +390,7 @@ def _classify_lattice(
                 decide_overlap_representable(cs), Representation
             ),
         )
-        key = _class_key(least, map(to_least, orbit))
-        records.append(CorpusRecord(key, cs, profile, provenance))
+        records.append(CorpusRecord(_class_key(least, orbit), cs, profile, provenance))
     return records
 
 

@@ -165,7 +165,7 @@ def _structure_dumps(fields: dict[str, Any], rows: tuple[int, ...]) -> str:
 def structure_dumps(cs: ContactStructure, roles: dict[str, int] | None = None) -> str:
     """``canonical_dumps(structure_to_json(cs, roles))``, written from the
     relation rows."""
-    return _structure_dumps(structure_fields(cs, roles), cs.contact.rows)
+    return _structure_dumps(structure_fields(cs.lattice, roles), cs.contact.rows)
 
 
 def loaded_structure_dumps(raw: dict[str, Any], cs: ContactStructure) -> str:
@@ -187,7 +187,7 @@ def matches_canonical_construction(
     plain ints and the one pair list the rows determine, so the fields and
     the rows decide it exactly."""
     return (_loaded_fields(raw), loaded.contact.rows) == (
-        structure_fields(cs, roles),
+        structure_fields(cs.lattice, roles),
         cs.contact.rows,
     )
 
@@ -197,10 +197,10 @@ def _loaded_fields(raw: dict[str, Any]) -> dict[str, Any]:
 
 
 def structure_fields(
-    cs: ContactStructure, roles: dict[str, int] | None
+    lattice: FiniteJoinSemilattice, roles: dict[str, int] | None
 ) -> dict[str, Any]:
-    """Every field of the structure's payload but ``"contact"``."""
-    lattice = cs.lattice
+    """Every field of a structure's payload but ``"contact"``: the lattice's
+    fields and the roles."""
     fields: dict[str, Any] = {
         "version": SCHEMA_VERSION,
         "ground_size": lattice.width,
@@ -212,16 +212,18 @@ def structure_fields(
     return fields
 
 
+def contact_pairs(rows: tuple[int, ...]) -> list[list[int]]:
+    """The ``"contact"`` field of relation rows: [i, j] per related pair
+    i < j, ascending."""
+    return [
+        [i, i + 1 + j] for i, row in enumerate(rows) for j in iter_bits(row >> (i + 1))
+    ]
+
+
 def structure_to_json(
     cs: ContactStructure, roles: dict[str, int] | None = None
 ) -> dict[str, Any]:
-    payload = structure_fields(cs, roles)
-    payload["contact"] = [
-        [i, i + 1 + j]
-        for i, row in enumerate(cs.contact.rows)
-        for j in iter_bits(row >> (i + 1))
-    ]
-    return payload
+    return {**structure_fields(cs.lattice, roles), "contact": contact_pairs(cs.contact.rows)}
 
 
 def structure_from_json(data: Any) -> tuple[ContactStructure, dict[str, int]]:

@@ -35,7 +35,12 @@ read the ground points: ``column_domains`` (the meets of the complemented
 admissible-column images) gate each first-slot pair
 (``d2minus_slots_by_columns``), and ``common_bound``
 meets the down-sets of x + s over each pair set's selector sums.  The
-library must match it, ``examined`` included.
+library must match it, ``examined`` included.  ``d2minus_slots_per_slot``
+builds y1's bound D(y1) again for every first-slot pair, and
+``check_additive_by_joins`` asks ``lattice.join`` for every triple, as the
+library did before it kept one bound per element and read the joins off
+the carrier; the library must match them, slot answers and ``examined``
+included.
 
 Some builders serve only the tests: ``contact_from_related_pairs`` (a
 relation from its related pairs), ``identity_map`` and
@@ -75,6 +80,7 @@ from contactlab import enumeration
 from contactlab.axioms import (
     Verdict,
     Witness,
+    _common_points,
     _d2_violated,
     _selector_sums,
     require_weak_contact,
@@ -718,6 +724,50 @@ def gated_check_d2_minus(cs: ContactStructure) -> Verdict:
                             time.perf_counter() - start,
                         )
     return Verdict("d2minus", {}, True, None, examined, time.perf_counter() - start)
+
+
+def d2minus_slots_per_slot(cs: ContactStructure):
+    """The first-slot pairs (x1, y1) of d2minus in scan order, each with
+    whether some b in D(x1) is in contact with some a in D(y1), D(x) the
+    elements inside carrier[x] | common(P): D(x1) built once per x1 with a
+    partner, D(y1) once per slot whose D(x1) reaches some contact."""
+    lattice, rows, size = cs.lattice, cs.contact.rows, cs.size
+    carrier, everything = lattice.carrier, full_mask(size)
+    common = _common_points(lattice, cs.contact.noncontact_pairs())
+    for x1 in range(size):
+        partners = (everything & ~rows[x1]) >> x1
+        if not partners:
+            continue
+        reach = 0
+        for b in iter_bits(lattice.subsets_of(carrier[x1] | common)):
+            reach |= rows[b]
+        for off in iter_bits(partners):
+            y1 = x1 + off
+            yield x1, y1, bool(reach and reach & lattice.subsets_of(carrier[y1] | common))
+
+
+def check_additive_by_joins(cs: ContactStructure) -> Verdict:
+    """a d (b+c) implies a d b or a d c: every nonzero a, then b <= c
+    ascending among the nonzero elements not in contact with a, each join
+    asked of ``lattice.join``."""
+    require_weak_contact(cs)
+    start = time.perf_counter()
+    lattice, rel = cs.lattice, cs.contact
+    size = lattice.size
+    nonzero = full_mask(size) ^ 1
+    examined = 0
+    for a in range(1, size):
+        row = rel.rows[a]
+        strangers = nonzero & ~row
+        for b in iter_bits(strangers):
+            for off in iter_bits(strangers >> b):
+                c = b + off
+                examined += 1
+                if (row >> lattice.join(b, c)) & 1:
+                    witness = Witness("add", (("a", a), ("b", b), ("c", c)))
+                    return Verdict("add", {}, False, witness, examined,
+                                   time.perf_counter() - start)
+    return Verdict("add", {}, True, None, examined, time.perf_counter() - start)
 
 
 def check_d2_naive(cs: ContactStructure, n: int) -> Verdict:

@@ -156,6 +156,31 @@ def test_d1_plus_witness_revalidates(m3):
     assert revalidate_witness(m3, "d1plus", {"n": 2}, verdict.witness)
 
 
+def test_witness_revalidates_only_with_its_kind_and_within_its_level(m3, sep3):
+    cs, witness = sep3.structure, sep3.expected_d2_witness()
+    assert len(witness.pairs) == 3
+    for n in (1, 2):
+        assert not revalidate_witness(cs, "d2", {"n": n}, witness)
+    assert not revalidate_witness(cs, "d2", {}, witness)
+    assert revalidate_witness(cs, "d2", {"n": 3}, witness)
+    assert revalidate_witness(cs, "d2all", {}, witness)
+    for kind in ("d2all", "d1", "anything"):
+        other = witness._replace(kind=kind)
+        assert not revalidate_witness(cs, "d2", {"n": 3}, other)
+        assert not revalidate_witness(cs, "d2all", {}, other)
+    d1 = check_d1(m3).witness
+    assert revalidate_witness(m3, "d1", {}, d1)
+    assert not revalidate_witness(m3, "d1plus", {}, d1)
+    assert not revalidate_witness(m3, "d1", {}, d1._replace(pairs=d1.pairs * 2))
+    assert revalidate_witness(m3, "d1plus", {"n": 2}, d1._replace(kind="d1plus"))
+    assert not revalidate_witness(
+        m3, "d1plus", {"n": 1}, d1._replace(kind="d1plus", pairs=d1.pairs * 2)
+    )
+    add = check_additive(m3).witness
+    assert revalidate_witness(m3, "add", {}, add)
+    assert not revalidate_witness(m3, "add", {}, add._replace(kind="d1"))
+
+
 # ---------------------------------------------------------------------------
 # d2 family
 

@@ -297,3 +297,62 @@ def test_witness_from_json_refuses_indices_that_are_not_ints():
     ):
         with pytest.raises(ValueError, match="witness indices must be ints"):
             Witness.from_json(bad)
+
+
+def _copy_witness_check_at_level_one(cert):
+    check = next(e for e in cert["entries"] if e["kind"] == "witness-check")
+    assert check["params"] == {"n": 3} and len(check["witness"]["pairs"]) == 3
+    cert["entries"].append({**check, "params": {"n": 1}})
+    return len(cert["entries"]) - 1
+
+
+def _rename_the_witness_kind(cert):
+    pos, check = next(
+        (pos, e) for pos, e in enumerate(cert["entries"]) if e["kind"] == "witness-check"
+    )
+    check["witness"]["kind"] = "anything"
+    return pos
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_copy_witness_check_at_level_one, _rename_the_witness_kind],
+    ids=["three-pairs-at-level-one", "kind-anything"],
+)
+def test_designated_witness_must_fit_its_level_and_kind(tmp_path, capsys, edit):
+    # Both edits verified with no problems while revalidate_witness read
+    # neither the witness's kind nor its pair count against the level.
+    cert = json.loads((DATA / "sn3.cert.json").read_text())
+    pos = edit(cert)
+    line = f"entries[{pos}]: witness-check d2 does not reproduce"
+    assert verify_certificate(cert) == [line]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify-certificate", str(bad)]) == 1
+    assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "conclusion, message",
+    [
+        (None, "conclusion: expected an object with a boolean ok"),
+        ([True], "conclusion: expected an object with a boolean ok"),
+        ({}, "conclusion.ok: expected a boolean, got None"),
+        ({"ok": None}, "conclusion.ok: expected a boolean, got None"),
+    ],
+    ids=["missing", "list", "missing-ok", "null-ok"],
+)
+def test_conclusion_ok_is_required(tmp_path, capsys, conclusion, message):
+    # A certificate without its conclusion, or without conclusion.ok,
+    # verified as long as its entries did.
+    cert = json.loads((DATA / "sn3.cert.json").read_text())
+    if conclusion is None:
+        del cert["conclusion"]
+    else:
+        cert["conclusion"] = conclusion
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify-certificate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"

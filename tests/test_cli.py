@@ -236,17 +236,17 @@ def test_corpus_independent_of_hash_seed(tmp_path):
 
 
 def test_enumerate_depth_bounded_by_pair_count_cap(tmp_path, capsys):
-    # No carrier within the size cap has more than C(7, 2) = 21 nonzero
+    # No carrier within the size cap has more than C(8, 2) = 28 nonzero
     # unrelated pairs, and deeper levels only repeat the level below.
     argv = ["enumerate", "--max-size", "2", "--out", str(tmp_path / "deep")]
-    _assert_input_error(argv + ["--depth", "22"], capsys)
-    assert main(argv + ["--depth", "21"]) == 0
+    _assert_input_error(argv + ["--depth", "29"], capsys)
+    assert main(argv + ["--depth", "28"]) == 0
     header = (tmp_path / "deep" / "summary.csv").read_text().splitlines()[0]
-    assert header.split(",")[-5] == "d2_21"
+    assert header.split(",")[-5] == "d2_28"
 
 
 @pytest.mark.parametrize(
-    "caps", [["--max-size", "9"], ["--max-size", "2", "--depth", "22"]]
+    "caps", [["--max-size", "10"], ["--max-size", "2", "--depth", "29"]]
 )
 def test_enumerate_past_a_cap_writes_nothing(tmp_path, capsys, caps):
     out = tmp_path / "d"

@@ -5,7 +5,9 @@ polynomial admissible-column test finds a violation.  Swapping the ungated
 scans of ``scan_oracles`` back in must leave every verdict, param, witness
 and profile unchanged; only the ``examined`` counts may differ.  d2minus,
 decided on the ground points, must also match the column-gated selector-sum
-search it replaced, ``examined`` included.
+search it replaced, ``examined`` included.  The d2minus slot answers, with
+one bound per element, and the additivity scan, with its joins read off the
+carrier, must match the per-slot and per-join scans they replaced.
 """
 
 import pytest
@@ -74,6 +76,38 @@ def assert_d2_minus_matches_reference(cs):
     fresh = ContactStructure(cs.lattice, cs.contact)
     assert axioms.profile_of(fresh).d2_minus == reference.passed
     return verdict
+
+
+def assert_matches_the_per_slot_scans(cs):
+    """The d2minus slot answers and the additivity verdict (witness and
+    ``examined`` included) equal the per-slot and per-join oracles'."""
+    slots = list(axioms._d2minus_slots(cs))
+    assert slots == list(scan_oracles.d2minus_slots_per_slot(cs))
+    verdict = axioms.check_additive(cs)
+    reference = scan_oracles.check_additive_by_joins(cs)
+    assert verdict._replace(elapsed=0.0) == reference._replace(elapsed=0.0)
+    return slots, verdict
+
+
+def test_slot_bounds_and_additivity_match_the_replaced_scans_to_size_seven():
+    checked = failing = 0
+    for lattice in enumerate_semilattices(7):
+        for relation in enumerate_contacts(lattice):
+            slots, verdict = assert_matches_the_per_slot_scans(
+                ContactStructure(lattice, relation)
+            )
+            assert slots
+            failing += not verdict.passed
+            checked += 1
+    assert checked == 2043
+    assert failing
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_slot_bounds_and_additivity_match_the_replaced_scans_on_the_separators(n):
+    slots, verdict = assert_matches_the_per_slot_scans(build_separator(n).structure)
+    assert not any(violated for _, _, violated in slots)
+    assert verdict.passed
 
 
 def test_agrees_with_ungated_scans_on_every_contact_to_size_six():
@@ -149,6 +183,13 @@ def test_agrees_with_ungated_scans_on_random_closures(cs):
     assert axioms.check_weak_contact(cs).passed
     assert outcomes(cs) == ungated_outcomes(cs)
     assert_d2_minus_matches_reference(cs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(overlap_closures())
+def test_slot_bounds_and_additivity_match_the_replaced_scans_on_random_closures(cs):
+    assert_matches_the_per_slot_scans(cs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
