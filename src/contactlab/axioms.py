@@ -557,6 +557,15 @@ WITNESS_KINDS = {
     "d2minus": "d2minus",
 }
 
+# The role names of each witness kind: the checkers' kinds, and for
+# weak-contact the clause it violates.
+WITNESS_ROLES = {
+    "add": {"a", "b", "c"},
+    **dict.fromkeys(("d1", "d1plus", "d2", "d2minus", "zero", "symmetry"), {"a", "b"}),
+    "reflexivity": {"a"},
+    "extension": {"a", "b", "a1", "b1"},
+}
+
 
 def revalidate_witness(
     cs: ContactStructure, axiom: str, params: dict[str, int], witness: Witness
@@ -564,14 +573,17 @@ def revalidate_witness(
     """Re-check a fail witness: premises hold and the conclusion fails,
     using only core-algebra operations.  The witness must have the kind the
     axiom's checker writes (``WITNESS_KINDS``; any violated clause for
-    weak-contact), and a witness of d1 at most one pair, of d1plus or d2
-    at level n (1 unless given, as in ``CHECKERS``) at most n."""
+    weak-contact) and exactly that kind's roles (``WITNESS_ROLES``), and a
+    witness of d1 at most one pair, of d1plus or d2 at level n (1 unless
+    given, as in ``CHECKERS``) at most n."""
     lattice, rel = cs.lattice, cs.contact
     related = rel.related
     leq = lattice.leq
     join = lattice.join
     roles = dict(witness.elements)
     if axiom in WITNESS_KINDS and witness.kind != WITNESS_KINDS[axiom]:
+        return False
+    if witness.kind in WITNESS_ROLES and roles.keys() != WITNESS_ROLES[witness.kind]:
         return False
     if axiom in ("d1", "d1plus", "d2"):
         level = 1 if axiom == "d1" else params.get("n", 1)

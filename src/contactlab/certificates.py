@@ -13,9 +13,11 @@ its command writes, not the recorded one.  Every int an entry records must
 be a JSON integer, and every boolean it records a JSON boolean, each
 refused by type before anything is compared; the conclusion must be an
 object whose ``ok`` is a boolean.  A designated witness revalidates only
-with its axiom's witness kind and, at level n, at most n pairs
-(``axioms.revalidate_witness``).  Wall-clock stats are recorded but
-excluded from comparison.
+with its axiom's witness kind, exactly that kind's roles and, at level n, at
+most n pairs (``axioms.revalidate_witness``).  A ``check`` entry of d1plus
+or d2 is keyed by the certificate's level, ``parameters.n`` (1 when absent),
+which must be a positive int.  Wall-clock stats are recorded but excluded
+from comparison.
 
 The embedded structure's text is written once, from the relation rows
 (``serialize.structure_dumps``): its SHA-256 is taken of that text, and the
@@ -230,7 +232,7 @@ def build_certificate(
 ) -> dict[str, Any]:
     """The certificate as a JSON object for ``canonical_dumps``.  Its
     structure is written once (``structure_dumps``): the SHA-256 is taken of
-    that text, and ``canonical_dumps`` splices the same text in."""
+    that text, and ``canonical_dumps`` writes the same text in place."""
     text = structure_dumps(cs, roles)
     return {
         "version": SCHEMA_VERSION,
@@ -314,11 +316,20 @@ def _strip_stats(entry: dict[str, Any]) -> dict[str, Any]:
 def _written_keys(command: Any, params: dict[str, Any]) -> list[tuple[str, Any, Any, Any]]:
     """(kind, name, params, expected) of each entry the command writes, with
     params None where the entry's own are not keyed; SchemaError for a
-    command that writes no certificate."""
+    command that writes no certificate, or for a ``check`` of d1plus or d2
+    whose level is not a positive int.  Those two are keyed by their level
+    (1 unless given, as in ``CHECKERS``); the other axioms have none, so a
+    ``parameters.n`` beside them is not read."""
     if command == "sn":
         return sn_entry_keys(params["n"])
     if command == "check":
-        return [("axiom", params.get("axiom"), None, None)]
+        axiom = params.get("axiom")
+        if axiom not in ("d1plus", "d2"):
+            return [("axiom", axiom, None, None)]
+        n = params.get("n", 1)
+        if type(n) is not int or n < 1:
+            raise SchemaError(f"parameters.n: expected a positive int level, got {n!r}")
+        return [("axiom", axiom, {"n": n}, None)]
     if command == "represent":
         return [("representation", params.get("mode"), None, None)]
     raise SchemaError(f"command: expected sn, check or represent, got {command!r}")

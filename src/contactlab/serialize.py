@@ -17,16 +17,24 @@ Hex masks keep files diff-friendly and width-agnostic.  Exports are canonical
 round trip is byte-exact and files can be compared directly.
 
 ``canonical_dumps(x)`` is ``json.dumps(x, indent=2, sort_keys=True)`` plus
-a newline.  A top-level member that is already text (``CanonicalText``) is
-dumped as ``null`` and spliced in, re-indented, at its line: strings are
-escaped, so the only raw newlines are indentation, and only a top-level
-member's line starts with a newline, two spaces and a quote.
+a newline, byte for byte, but written directly (with ``indent``, Python
+3.11's ``json`` runs its pure-Python encoder): one function appends the
+pieces to a list, which is joined once.  It makes
+``json.encoder._make_iterencode``'s type checks in their order, encodes
+strings with ``encode_basestring_ascii``, sorts each object's items with
+``sorted(d.items())``, converts non-string keys as ``json`` does, writes ints
+with ``int.__repr__`` and floats as ``json`` does, ``NaN`` and ``±Infinity``
+included.  A member that is already text (``CanonicalText``) is written in
+place at whatever depth it sits, re-indented with one ``replace``: strings
+are escaped, so its only raw newlines are indentation.  A circular value is
+not detected and raises ``RecursionError``, where ``json`` raises
+``ValueError``.
 
 ``structure_dumps(cs, roles)`` is, byte for byte,
-``canonical_dumps(structure_to_json(cs, roles))``, with the contact list
-spliced in the same way, written from the relation rows without building
-the pair list: each row's partners above its own index are picked from the
-row's bit string in C and joined with the pair template.  A certificate
+``canonical_dumps(structure_to_json(cs, roles))``; the writer takes the
+contact list's pieces from the relation rows instead of a pair list: each
+row's partners above its own index are picked from the row's bit string in C
+and joined with the pair template.  A certificate
 hashes that text (``structure_sha256``) and embeds the same text, so its
 structure is formatted once.  ``loaded_structure_dumps`` writes a loaded
 payload's text the same way, from the rows and the payload's other fields,
@@ -52,6 +60,7 @@ import json
 import hashlib
 import re
 from itertools import compress
+from json.encoder import INFINITY as _INFINITY
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
@@ -65,6 +74,7 @@ from .core import (
 
 SCHEMA_VERSION = 1
 _HEX = re.compile(r"^[0-9a-f]+$")
+_int_repr, _float_repr = int.__repr__, float.__repr__
 
 
 class SchemaError(ValueError):
@@ -79,40 +89,119 @@ def mask_to_hex(mask: int, ground_size: int) -> str:
     return f"{mask:0{_hex_digits(ground_size)}x}"
 
 
-def _json_text(value: Any) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-
 def canonical_dumps(payload: Any) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, with
-    each top-level ``CanonicalText`` member spliced in at its ``null`` line."""
-    spliced = {}
-    if type(payload) is dict:
-        spliced = {k: v.text for k, v in payload.items() if type(v) is CanonicalText}
-        payload = {**payload, **dict.fromkeys(spliced)}
-    text = _json_text(payload)
-    for key, value in spliced.items():
-        text = _splice(text, key, [value[:-1].replace("\n", "\n  ")])
-    return text
+    each ``CanonicalText`` member written in place, re-indented."""
+    return _text(payload)
 
 
-def _splice(text: str, key: str, pieces: list[str]) -> str:
-    """``text`` with its top-level member ``key``'s ``null`` replaced by the
-    joined ``pieces``."""
-    line = "\n  " + _encode_str(key) + ": "
-    head, tail = text.split(line + "null", 1)
-    return "".join([head, line, *pieces, tail])
+def _text(payload: Any) -> str:
+    # ``canonical_dumps`` under a private name, for the structure writers:
+    # ``bench/tracer.py`` wraps the public one and counts the bytes of every
+    # text it returns, which are the texts the commands write.
+    out: list[str] = []
+    _write(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(value: float) -> str:
+    """``json``'s text for a float, with its spellings of the specials."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return _float_repr(value)
+
+
+def _write(value: Any, out: list[str], indent: str) -> None:
+    """Append to ``out`` the pieces of ``value``'s indented JSON, for a value
+    whose line starts with ``indent`` (a newline and two spaces per level).
+    The type checks are ``json.encoder._make_iterencode``'s, in its order."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(_int_repr(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        head = "[" + inner
+        for item in value:
+            out.append(head)
+            head = separator
+            _write(item, out, inner)
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        head = "{" + inner
+        for key, item in sorted(value.items()):
+            if isinstance(key, str):
+                pass
+            elif isinstance(key, float):
+                key = _float_text(key)
+            elif key is True:
+                key = "true"
+            elif key is False:
+                key = "false"
+            elif key is None:
+                key = "null"
+            elif isinstance(key, int):
+                key = _int_repr(key)
+            else:
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}"
+                )
+            out.append(head + _encode_str(key) + ": ")
+            head = separator
+            _write(item, out, inner)
+        out.append(indent + "}")
+    elif type(value) is CanonicalText:
+        out.append(value.text[:-1].replace("\n", indent))
+    elif type(value) is _ContactRows:
+        out += _contact_pieces(value.rows, indent)
+    else:
+        raise TypeError(
+            f"Object of type {value.__class__.__name__} is not JSON serializable"
+        )
 
 
 class CanonicalText:
     """``canonical_dumps`` output (final newline included) standing for the
-    value it encodes: ``canonical_dumps`` splices it in as a top-level
-    member, re-indented, instead of encoding that value again."""
+    value it encodes: ``canonical_dumps`` writes it in place, re-indented to
+    the depth where it sits, instead of encoding that value again."""
 
     __slots__ = ("text",)
 
     def __init__(self, text: str) -> None:
         self.text = text
+
+
+class _ContactRows:
+    """Relation rows standing for their ``"contact"`` pair list, which the
+    writer takes from ``_contact_pieces``."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[int, ...]) -> None:
+        self.rows = rows
 
 
 # bin() digits to compress() selectors: b"0" -> 0 (skip), b"1" -> 1 (keep).
@@ -132,10 +221,10 @@ def _index_names(size: int) -> list[str]:
     return names
 
 
-def _contact_pieces(rows: tuple[int, ...]) -> list[str]:
+def _contact_pieces(rows: tuple[int, ...], indent: str) -> list[str]:
     """The encoded ``"contact"`` list of ``structure_to_json`` for ``rows``,
-    as a top-level member's value, in pieces to be joined."""
-    inner, deeper = "\n    ", "\n      "
+    for a value whose line starts with ``indent``, in pieces to be joined."""
+    inner, deeper = indent + "  ", indent + "    "
     # Pair [i, j] is "[" deeper i "," deeper j inner "]"; a comma and inner
     # part it from the next pair.
     between = inner + "]," + inner + "[" + deeper
@@ -151,15 +240,14 @@ def _contact_pieces(rows: tuple[int, ...]) -> list[str]:
             pieces += head, (between + head).join(partners), between
     if len(pieces) == 1:
         return ["[]"]
-    pieces[-1] = inner + "]\n  ]"
+    pieces[-1] = inner + "]" + indent + "]"
     return pieces
 
 
 def _structure_dumps(fields: dict[str, Any], rows: tuple[int, ...]) -> str:
     """``canonical_dumps`` of ``fields`` (no ``"contact"``) plus the contact
-    list of ``rows``, spliced in."""
-    text = _json_text({**fields, "contact": None})
-    return _splice(text, "contact", _contact_pieces(rows))
+    list of ``rows``."""
+    return _text({**fields, "contact": _ContactRows(rows)})
 
 
 def structure_dumps(cs: ContactStructure, roles: dict[str, int] | None = None) -> str:

@@ -181,6 +181,49 @@ def test_witness_revalidates_only_with_its_kind_and_within_its_level(m3, sep3):
     assert not revalidate_witness(m3, "add", {}, add._replace(kind="d1"))
 
 
+def _failing_witnesses(m3, sep3):
+    """(structure, axiom, params, witness) for a witness of every kind."""
+    lattice = join_closure(2, [0b01, 0b11])
+    weak = [
+        chain3_with_dropped_pair(),  # extension
+        ContactStructure(lattice, ContactRelation(3, (0, 0b110, 0b100))),  # symmetry
+        ContactStructure(lattice, ContactRelation(3, (0b010, 0b011, 0b100))),  # zero
+        ContactStructure(lattice, ContactRelation(3, (0, 0b010, 0))),  # reflexivity
+    ]
+    found = [(cs, "weak-contact", {}, check_weak_contact(cs).witness) for cs in weak]
+    found += [
+        (m3, "add", {}, check_additive(m3).witness),
+        (m3, "d1", {}, check_d1(m3).witness),
+        (m3, "d1plus", {"n": 2}, check_d1_plus(m3, 2).witness),
+        (sep3.structure, "d2", {"n": 3}, sep3.expected_d2_witness()),
+    ]
+    minus = next(
+        cs
+        for lattice in enumerate_semilattices(5)
+        for rel in enumerate_contacts(lattice)
+        if not check_d2_minus(cs := ContactStructure(lattice, rel)).passed
+    )
+    found.append((minus, "d2minus", {}, check_d2_minus(minus).witness))
+    return found
+
+
+def test_witness_revalidates_only_with_exactly_its_kinds_roles(m3, sep3):
+    # Each role edit revalidated while revalidate_witness read the roles it
+    # needs and ignored any other.
+    found = _failing_witnesses(m3, sep3)
+    kinds = [witness.kind for *_, witness in found]
+    assert kinds == ["extension", "symmetry", "zero", "reflexivity",
+                     "add", "d1", "d1plus", "d2", "d2minus"]
+    for cs, axiom, params, witness in found:
+        assert revalidate_witness(cs, axiom, params, witness)
+        elements = witness.elements
+        names = {name for name, _ in elements}
+        extra = [elements + ((name, 0),) for name in ("c", "a1", "") if name not in names]
+        for edited in extra + [elements[1:], (("z", elements[0][1]),) + elements[1:]]:
+            edit = witness._replace(elements=edited)
+            assert not revalidate_witness(cs, axiom, params, edit), (witness, edited)
+
+
 # ---------------------------------------------------------------------------
 # d2 family
 

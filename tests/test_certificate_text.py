@@ -3,8 +3,9 @@
 ``structure_dumps`` writes a structure's canonical JSON from its relation
 rows, and ``loaded_structure_dumps`` writes a loaded payload's text the same
 way; both must equal the ``json`` one-liner on the payload byte for byte.  A
-certificate hashes that text and embeds it as a top-level ``CanonicalText``
-member, so an edit of the embedded structure must still break the hash.  The certificates
+certificate hashes that text and embeds it as a ``CanonicalText`` member,
+which the writer writes in place, so an edit of the embedded structure must
+still break the hash.  The certificates
 under ``tests/data`` were written before the text came from the rows (``sn
 --n 3``, and ``check … d2 --n 2`` and ``represent … --mode weak`` on the
 level-2 separator); they must verify and be rewritten byte for byte, and the
@@ -314,14 +315,23 @@ def _rename_the_witness_kind(cert):
     return pos
 
 
+def _add_a_role(cert):
+    pos, check = next(
+        (pos, e) for pos, e in enumerate(cert["entries"]) if e["kind"] == "witness-check"
+    )
+    check["witness"]["elements"]["c"] = 0
+    return pos
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_copy_witness_check_at_level_one, _rename_the_witness_kind],
-    ids=["three-pairs-at-level-one", "kind-anything"],
+    [_copy_witness_check_at_level_one, _rename_the_witness_kind, _add_a_role],
+    ids=["three-pairs-at-level-one", "kind-anything", "role-c"],
 )
 def test_designated_witness_must_fit_its_level_and_kind(tmp_path, capsys, edit):
-    # Both edits verified with no problems while revalidate_witness read
-    # neither the witness's kind nor its pair count against the level.
+    # Each edit verified with no problems while revalidate_witness read
+    # neither the witness's kind nor its pair count against the level, nor
+    # any role but those it needs.
     cert = json.loads((DATA / "sn3.cert.json").read_text())
     pos = edit(cert)
     line = f"entries[{pos}]: witness-check d2 does not reproduce"
@@ -356,3 +366,63 @@ def test_conclusion_ok_is_required(tmp_path, capsys, conclusion, message):
     capsys.readouterr()
     assert main(["verify-certificate", str(bad)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["check-d2", "represent-weak"])
+def test_an_appended_witness_check_carries_exactly_its_roles(tmp_path, capsys, name):
+    # ``check`` and ``represent`` write no witness check, but one appended
+    # is re-derived like any entry; with the level-2 d2 witness of their
+    # structure, the level-2 separator, and a role d2 witnesses do not have,
+    # it verified.
+    cert = json.loads((DATA / f"{name}.cert.json").read_text())
+    witness = json.loads((DATA / "check-d2.cert.json").read_text())["entries"][0]["witness"]
+    cert["entries"].append(
+        {"kind": "witness-check", "axiom": "d2", "params": {"n": 2},
+         "witness": witness, "valid": True, "expected": True}
+    )
+    assert verify_certificate(cert) == []
+    pos = _add_a_role(cert)
+    line = f"entries[{pos}]: witness-check d2 does not reproduce"
+    assert verify_certificate(cert) == [line]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify-certificate", str(bad)]) == 1
+    assert capsys.readouterr().out == line + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the writer
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda path: path.name)
+def test_data_files_re_encode_byte_for_byte(path):
+    text = path.read_text(encoding="utf-8")
+    assert_same_text(canonical_dumps(json.loads(text)), text)
+
+
+def test_commands_write_and_verify_without_the_json_encoder(tmp_path, monkeypatch):
+    # Every certificate, the corpus's implications.json and every
+    # verification are written by serialize's own writer: the indenting
+    # json encoder may not run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.encoder._make_iterencode called")
+
+    sep = build_separator(3)
+    s3 = tmp_path / "s3.json"
+    scan_oracles.write_structure_file(str(s3), sep.structure, sep.roles)
+    runs = {
+        "sn3": (["sn", "--n", "3"], 0),
+        "check-d2": (["check", str(s3), "d2", "--n", "2"], 0),
+        "check-d2all": (["check", str(s3), "d2all"], 1),
+        "represent-weak": (["represent", str(s3), "--mode", "weak"], 0),
+        "represent-overlap": (["represent", str(s3), "--mode", "overlap"], 1),
+    }
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for name, (argv, code) in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(out)]) == code
+        assert main(["verify-certificate", str(out)]) == 0
+    corpus = tmp_path / "corpus"
+    assert main(["enumerate", "--max-size", "3", "--out", str(corpus)]) == 0
+    assert json.loads((corpus / "implications.json").read_text())["implications"]

@@ -19,6 +19,8 @@ from contactlab import cli
 from contactlab.cli import main
 from contactlab.core import WIDTH_CAP, ContactStructure, contact_all_except
 from contactlab.serialize import (
+    canonical_dumps,
+    load_structure_file,
     mask_to_hex,
     matches_canonical_construction,
     structure_from_json,
@@ -625,7 +627,7 @@ def test_verify_certificate_refuses_empty_entries(s2_file, tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify-certificate", str(out)]) == 1
     check = json.loads((tmp_path / "check.json").read_text())
-    assert verify_certificate(check) == ["missing axiom entry d2"]
+    assert verify_certificate(check) == ['missing axiom entry d2 {"n": 2}']
     represent = json.loads((tmp_path / "represent.json").read_text())
     assert verify_certificate(represent) == ["missing representation entry overlap"]
 
@@ -640,7 +642,8 @@ def test_verify_certificate_requires_the_named_axiom_and_mode(s2_file, tmp_path)
         cert = json.loads(out.read_text())
         cert["parameters"][key] = other
         kind = cert["entries"][0]["kind"]
-        assert verify_certificate(cert) == [f"missing {kind} entry {other}"]
+        level = ' {"n": 1}' if other == "d2" else ""  # d2 keyed by its level
+        assert verify_certificate(cert) == [f"missing {kind} entry {other}{level}"]
 
 
 def test_verify_certificate_requires_each_expectation(s2_file, tmp_path, capsys):
@@ -703,6 +706,69 @@ def test_level_on_an_axiom_without_levels_is_a_usage_error(s2_file, tmp_path, ca
         assert cert["parameters"] == {"axiom": axiom, "n": level}
         assert cert["entries"][0]["params"] == {"n": level}
         assert verify_certificate(cert) == []
+
+
+@pytest.fixture(scope="module")
+def s3_check_d2(tmp_path_factory):
+    """``check s3.json d2 --n 2 --out``, s3 the ``sn --n 3`` structure: d2
+    passes at level 2."""
+    sep = constructions.build_separator(3)
+    work = tmp_path_factory.mktemp("s3")
+    scan_oracles.write_structure_file(str(work / "s3.json"), sep.structure, sep.roles)
+    out = work / "c.json"
+    assert main(["check", str(work / "s3.json"), "d2", "--n", "2", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "level, code, message",
+    [
+        (None, 2, "input error: parameters.n: expected a positive int level, got None\n"),
+        (True, 2, "input error: parameters.n: expected a positive int level, got True\n"),
+        (1.0, 2, "input error: parameters.n: expected a positive int level, got 1.0\n"),
+        ("x", 2, "input error: parameters.n: expected a positive int level, got 'x'\n"),
+        (1, 1, 'missing axiom entry d2 {"n": 1}\n'),
+        (3, 1, 'missing axiom entry d2 {"n": 3}\n'),
+        ("deleted", 1, 'missing axiom entry d2 {"n": 1}\n'),
+    ],
+    ids=["null", "true", "float", "string", "one", "three", "deleted"],
+)
+def test_check_certificate_verifies_its_level(
+    s3_check_d2, tmp_path, capsys, level, code, message
+):
+    # Each of these verified while a check entry was keyed by its axiom
+    # alone; an absent level is level 1, as ``check`` without --n writes.
+    cert = json.loads(json.dumps(s3_check_d2))
+    assert verify_certificate(cert) == []
+    if level == "deleted":
+        del cert["parameters"]["n"]
+    else:
+        cert["parameters"]["n"] = level
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify-certificate", str(bad)]) == code
+    captured = capsys.readouterr()
+    assert (captured.err if code == 2 else captured.out) == message
+
+
+def test_check_certificates_keep_verifying_with_a_level_an_axiom_ignores(s2_file, tmp_path):
+    # Before --n on a levelless axiom became a usage error, check wrote
+    # such certificates; their parameters.n is not read.
+    cs, roles = load_structure_file(s2_file)
+    for axiom in ("weak-contact", "add", "d1", "d2minus", "d2all"):
+        entry = certificates.derive_entry(cs, {"kind": "axiom", "axiom": axiom, "params": {}})
+        for level in (2, None, "x"):
+            params = {"axiom": axiom, "n": level}
+            cert = certificates.build_certificate("check", params, cs, roles, [entry], 0.0)
+            assert verify_certificate(json.loads(canonical_dumps(cert))) == []
+    for axiom, level in (("d1plus", None), ("d2", None), ("d2", 2)):
+        params = {"n": level} if level else {}
+        entry = certificates.derive_entry(cs, {"kind": "axiom", "axiom": axiom, "params": params})
+        cert = certificates.build_certificate(
+            "check", {"axiom": axiom, **params}, cs, roles, [entry], 0.0
+        )
+        assert verify_certificate(json.loads(canonical_dumps(cert))) == []
 
 
 @pytest.mark.parametrize(

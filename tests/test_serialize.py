@@ -10,6 +10,7 @@ from contactlab import serialize
 from contactlab.core import ContactStructure, join_closure
 from contactlab.enumeration import enumerate_contacts, enumerate_semilattices
 from contactlab.serialize import (
+    CanonicalText,
     SchemaError,
     canonical_dumps,
     representation_to_dot,
@@ -244,6 +245,60 @@ json_values = st.recursive(
 @given(json_values)
 def test_canonical_dumps_matches_json_dumps(value):
     assert canonical_dumps(value) == canonical_dumps_reference(value)
+
+
+@st.composite
+def nested_text(draw):
+    """A value holding a ``CanonicalText`` at depth 1-3, and the same value
+    with the text decoded in its place.  The text is canonical: that of a
+    decoded value, whose keys are all strings."""
+    plain = json.loads(canonical_dumps_reference(draw(json_values)))
+    value = CanonicalText(canonical_dumps_reference(plain))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            items = draw(st.lists(json_values, max_size=3))
+            pos = draw(st.integers(min_value=0, max_value=len(items)))
+            value, plain = (items[:pos] + [v] + items[pos:] for v in (value, plain))
+        else:
+            others = draw(st.dictionaries(json_text, json_values, max_size=3))
+            key = draw(json_text)
+            value, plain = ({**others, key: v} for v in (value, plain))
+    return value, plain
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_text())
+def test_canonical_text_is_written_in_place_at_any_depth(drawn):
+    value, plain = drawn
+    assert canonical_dumps(value) == canonical_dumps_reference(plain)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {float("nan"): 1},
+        {float("inf"): [1.5], float("-inf"): 2, 0.5: 3, -0.0: None},
+        {True: 1, False: {0: 1}},
+        {None: "x"},
+        [{2**70: -(2**70)}, 1e300, -1e-300, "\u00e9\ud83d\ude00\n"],
+    ],
+    ids=["nan", "floats", "booleans", "null", "big-and-unicode"],
+)
+def test_canonical_dumps_converts_keys_and_scalars_as_json_does(value):
+    assert canonical_dumps(value) == canonical_dumps_reference(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [object(), [1, {2}], {(1, 2): 3}, {1: 1, "a": 2}],
+    ids=["object", "set", "tuple-key", "mixed-keys"],
+)
+def test_canonical_dumps_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as ours:
+        canonical_dumps(value)
+    with pytest.raises(TypeError) as theirs:
+        canonical_dumps_reference(value)
+    assert str(ours.value) == str(theirs.value)
 
 
 def test_canonical_dumps_matches_json_dumps_on_certificates(sep3):
