@@ -60,19 +60,28 @@ b <= a + s, and n - 1 such peelings give b <= a.  So d1+ fails first at
 level 1 or never, and every level's check is d1's scan, witness and count.
 
 The d2 search is the image test again, with one pair set's selector sums
-as the columns (``FiniteJoinSemilattice.images_over`` and ``meets``): every
-sum bounds a or bounds b iff the images of a and b over the sums are
-disjoint.  It returns the least-level witness, and resumes above the
-deepest level an earlier search on the structure passed, counting skipped
-levels as a scan would: levels 1..n one call at a time cost one pass.
-Its last level, |P| for P the non-contact pairs, is the column test
-itself: the one set of all the pairs has the selector sums over all pairs,
-each an admissible column or the top, and every admissible column lies
-above one of them.  So a and b have disjoint images over those sums iff
-they do over the columns, and that level reads ``disjoint_images``, which
-the column test has already built, instead of 2^|P| sums.
+as the columns: every sum bounds a or bounds b iff the images of a and b
+over the sums are disjoint.  It tests only the column test's candidates,
+the contact pairs (a, b), 1 <= a <= b, with disjoint images over the
+admissible columns (``disjoint_images``).  Every selector sum over a pair
+set Q lies below one over all the pairs P, and every admissible column
+lies above a sum over P.  So if every sum over Q bounds a or b, every
+column does: a pair violating d2 over any set is a candidate.  Per set the
+search asks of each candidate in ascending (a, b) order whether every
+sum's down-set holds a or b, and the first yes is the least a with its
+least b >= a among all the violating pairs, as a scan of every element
+would find.  It returns the least-level witness, and resumes above
+the deepest level an earlier search on the structure passed, counting
+skipped levels as a scan would: levels 1..n one call at a time cost one
+pass.  Its last level, |P|, is the column test itself: the one set of all
+the pairs has the selector sums over all pairs, each an admissible column
+or the top, and every admissible column lies above one of them.  So a and
+b have disjoint images over those sums iff they do over the columns, and
+that level's witness is the first candidate, with no 2^|P| sums.
 ``examined`` counts the elements (for d2minus, first-slot pairs) the test
-looks at plus the candidates the search scans.
+looks at plus, per pair set the search reaches, one for d2minus and for
+d2 the size - 1 elements a full scan would look at (a on a hit), though
+d2 tests the candidates alone.
 
 On a weak contact, d2 holds at level 1: if x and y each bound a or b for a
 contact pair a d b, monotonicity gives x d y (with reflexivity on a nonzero
@@ -408,13 +417,16 @@ def _first_d2_violation(
 ) -> tuple[int | None, Witness | None, int]:
     """Least pair-count m <= max_size at which d2 has a violation.
 
-    Pair sets go by size, then in lexicographic order; each is decided by
-    the images over its selector sums (module docstring), and the witness
-    is the least a with its least b >= a (``cs.first_uncovered_pair``).
+    Pair sets go by size, then in lexicographic order.  Only the column
+    test's candidates can violate d2 over any set (module docstring): the
+    contact pairs (a, b), 1 <= a <= b, with disjoint images over the
+    admissible columns, ascending.  In each set the witness is the first
+    candidate whose images over the set's selector sums are disjoint, i.e.
+    every sum's down-set holds a or b: the least a with its least b >= a.
     Level |P| has one set, all the pairs, whose relation is the column
-    test's ``cs.disjoint_images``, so that level scans no pair set.
-    ``examined`` counts the elements, then a on a hit and size - 1 per pair
-    set otherwise.  The deepest level passed is kept on ``cs``; a later walk
+    test's, so its witness is the first candidate.  ``examined``
+    counts the elements, then a on a hit and size - 1 per pair set
+    otherwise.  The deepest level passed is kept on ``cs``; a later walk
     skips to it, or past level 1 on a weak contact, counting C(|P|, j) sets
     per skipped level j.
     """
@@ -422,6 +434,15 @@ def _first_d2_violation(
     size = lattice.size
     if not _d2_violated(cs):
         return None, None, size
+    rows, disjoint = cs.contact.rows, cs.disjoint_images
+    candidates = []
+    for a in range(1, size):
+        hit = (rows[a] & disjoint[a]) >> a
+        while hit:
+            low = hit & -hit
+            candidates.append((a, a + low.bit_length() - 1))
+            hit ^= low
+    below = lattice.below_masks
     pairs = cs.contact.noncontact_pairs()
     floor = 1 if cs.is_weak_contact else 0
     skipped = min(max(cs.d2_holds_to, floor), max_size)
@@ -431,11 +452,11 @@ def _first_d2_violation(
     for m in range(skipped + 1, min(max_size, len(pairs)) + 1):
         for combo in combinations(pairs, m):
             if m == len(pairs):  # all the pairs: the column test's relation
-                disjoint = cs.disjoint_images
+                hit = candidates[0] if candidates else None
             else:
-                sums = _selector_sums(lattice, combo)
-                disjoint = lattice.meets(sums, lattice.images_over(sums))
-            hit = cs.first_uncovered_pair(disjoint)
+                downs = [below[s] for s in _selector_sums(lattice, combo)]
+                hit = next(((a, b) for a, b in candidates
+                            if all(map((1 << a | 1 << b).__and__, downs))), None)
             if hit is not None:
                 a, b = hit
                 return m, Witness("d2", (("a", a), ("b", b)), combo), examined + a

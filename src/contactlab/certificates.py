@@ -11,8 +11,9 @@ process that wrote it.  Verification also requires every entry its command
 writes, so none can be dropped, and re-derives each with the expectation
 its command writes, not the recorded one.  Every int an entry records must
 be a JSON integer, and every boolean it records a JSON boolean, each
-refused by type before anything is compared; the conclusion must be an
-object whose ``ok`` is a boolean.  A designated witness revalidates only
+refused by type before anything is compared; a recorded witness must have
+the shape ``Witness.to_json`` writes, and the conclusion must be an object
+whose ``ok`` is a boolean.  A designated witness revalidates only
 with its axiom's witness kind, exactly that kind's roles and, at level n, at
 most n pairs (``axioms.revalidate_witness``).  A ``check`` entry of d1plus
 or d2 is keyed by the certificate's level, ``parameters.n`` (1 when absent),
@@ -309,6 +310,25 @@ def _recorded_bools(entry: dict[str, Any], label: str) -> list[tuple[str, Any]]:
     return fields
 
 
+def _check_witness_shape(entry: dict[str, Any], label: str) -> None:
+    """SchemaError unless the witness ``entry`` records (a witness check
+    must record one) has the shape ``Witness.to_json`` writes: an object
+    with a string kind, an object of elements and a list of two-item pairs."""
+    witness = entry.get("witness")
+    if witness is None and entry["kind"] != "witness-check":
+        return
+    field = f"{label}.witness"
+    if not isinstance(witness, dict):
+        raise SchemaError(f"{field}: expected a witness object, got {witness!r}")
+    for name, shape, expected in (("kind", str, "a string"), ("elements", dict, "an object"),
+                                  ("pairs", list, "a list of pairs")):
+        if not isinstance(witness.get(name), shape):
+            raise SchemaError(f"{field}.{name}: expected {expected}, got {witness.get(name)!r}")
+    for pos, pair in enumerate(witness["pairs"]):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{field}.pairs[{pos}]: expected a pair, got {pair!r}")
+
+
 def _strip_stats(entry: dict[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in entry.items() if k != "stats"}
 
@@ -369,8 +389,9 @@ def verify_certificate(cert: Any) -> list[str]:
             )
     # Python's == takes true and 12.0 for 1 and 12, and 1 for true, so the
     # recorded ints and booleans are refused by type before anything is
-    # compared with them.
+    # compared with them, and a witness by shape before it is read.
     for pos, entry in enumerate(entries):
+        _check_witness_shape(entry, f"entries[{pos}]")
         for field, value in _recorded_ints(entry, f"entries[{pos}]"):
             if type(value) is not int:
                 raise SchemaError(f"{field}: expected an int, got {value!r}")

@@ -288,11 +288,12 @@ def structure_fields(
     lattice: FiniteJoinSemilattice, roles: dict[str, int] | None
 ) -> dict[str, Any]:
     """Every field of a structure's payload but ``"contact"``: the lattice's
-    fields and the roles."""
+    fields and the roles.  One format spec serves every carrier element."""
+    spec = f"0{_hex_digits(lattice.width)}x"
     fields: dict[str, Any] = {
         "version": SCHEMA_VERSION,
         "ground_size": lattice.width,
-        "carrier": [mask_to_hex(bits, lattice.width) for bits in lattice.carrier],
+        "carrier": [format(bits, spec) for bits in lattice.carrier],
         "zero": 0,
     }
     if roles is not None:

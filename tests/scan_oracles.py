@@ -8,7 +8,10 @@ verdicts, params and witnesses; only the ``examined`` counts differ.
 per-partner d2 scan, and ``check_weak_contact`` walks every pair of the
 relation; the library's image-based d2 search and weak-contact routine
 (``ContactStructure.weak_contact_violation``) must match them ``examined``
-included.  ``check_d2_naive`` transcribes
+included.  ``first_d2_violation_by_images`` is the library's d2 walk as it
+was before it tested only the column test's candidate pairs: each pair
+set's images and meets over every element, then the first uncovered pair;
+the library must match it, ``examined`` and ``d2_holds_to`` included.  ``check_d2_naive`` transcribes
 level-n d2 literally, without the library's reductions, so only its verdicts
 are compared.  ``brute_force_representation`` searches every
 join-preserving map into a small powerset, sharing no machinery with the
@@ -75,6 +78,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import comb
 
 from contactlab import enumeration
 from contactlab.axioms import (
@@ -500,6 +504,37 @@ def gated_first_d2_violation(cs: ContactStructure, max_size: int):
         return None, None, cs.size
     m, witness, examined = first_d2_violation(cs, max_size)
     return m, witness, cs.size + examined
+
+
+def first_d2_violation_by_images(cs: ContactStructure, max_size: int):
+    """The library's d2 walk with its per-set kernel over every element:
+    the images of all elements over the set's selector sums, their meets,
+    and the first uncovered pair among all the contact pairs.  It resumes
+    and records ``cs.d2_holds_to`` as the library does."""
+    lattice = cs.lattice
+    size = lattice.size
+    if not _d2_violated(cs):
+        return None, None, size
+    pairs = cs.contact.noncontact_pairs()
+    floor = 1 if cs.is_weak_contact else 0
+    skipped = min(max(cs.d2_holds_to, floor), max_size)
+    examined = size + (size - 1) * sum(
+        comb(len(pairs), j) for j in range(1, skipped + 1)
+    )
+    for m in range(skipped + 1, min(max_size, len(pairs)) + 1):
+        for combo in combinations(pairs, m):
+            if m == len(pairs):
+                disjoint = cs.disjoint_images
+            else:
+                sums = _selector_sums(lattice, combo)
+                disjoint = lattice.meets(sums, lattice.images_over(sums))
+            hit = cs.first_uncovered_pair(disjoint)
+            if hit is not None:
+                a, b = hit
+                return m, Witness("d2", (("a", a), ("b", b)), combo), examined + a
+            examined += size - 1
+        cs.d2_holds_to = m
+    return None, None, examined
 
 
 def admissible_column_masks(cs: ContactStructure):

@@ -288,6 +288,36 @@ def test_recorded_booleans_must_be_booleans(tmp_path, capsys, paths):
     assert err == f"input error: {field}: expected a boolean, got 1\n"
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((8, "witness", "elements"), "x", "expected an object, got 'x'"),
+        ((8, "witness", "elements"), None, "expected an object, got None"),
+        ((8, "witness"), [1], "expected a witness object, got [1]"),
+        ((8, "witness", "pairs", 0), [1, 2, 3], "expected a pair, got [1, 2, 3]"),
+        ((8, "witness", "kind"), None, "expected a string, got None"),
+        ((7, "witness"), [1], "expected a witness object, got [1]"),
+    ],
+    ids=["elements-string", "elements-null", "witness-list", "three-item-pair",
+         "kind-null", "axiom-witness-list"],
+)
+def test_malformed_witnesses_are_input_errors(tmp_path, capsys, path, value, message):
+    # Each edit exited 1 with "re-derivation raised ...Error" (or, on an
+    # axiom entry, "does not reproduce") while the witness was read
+    # unchecked; a witness of the wrong shape is malformed input.
+    cert = json.loads((DATA / "sn3.cert.json").read_text())
+    target = cert["entries"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify-certificate", str(bad)]) == 2
+    field = "entries" + "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+    assert capsys.readouterr().err == f"input error: {field}: {message}\n"
+
+
 def test_witness_from_json_refuses_indices_that_are_not_ints():
     good = {"kind": "d2", "elements": {"a": 3, "b": 5}, "pairs": [[1, 8]]}
     assert Witness.from_json(good).to_json() == good

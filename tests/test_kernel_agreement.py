@@ -13,6 +13,12 @@ every corruption of the contacts up to size 6, random closures, corrupted
 separators up to n = 5 (one corruption per clause at n = 4 and 5), and for
 the work it does: refusing the level-6 separator with one pair dropped
 visits its rows and non-contact entries, not its 2.8M related entries.
+
+The d2 walk tests only the column test's candidate pairs.  It must give
+what ``scan_oracles.first_d2_violation_by_images``, the per-set kernel over
+every element, gives: level, witness, ``examined`` and ``d2_holds_to``, on
+every contact to size 7, on S_2-S_6 and on one-sided toggles of random
+closures.  The ladders of S_7 and S_8 are pinned.
 """
 
 import pytest
@@ -374,3 +380,69 @@ def test_resumed_searches_agree_with_fresh_ones_on_every_contact_to_size_seven()
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_resumed_searches_agree_with_fresh_ones_on_separators(n):
     assert_resuming_is_invisible(build_separator(n).structure)
+
+
+def d2_walks(cs, levels, walk):
+    """(level, witness, examined, d2_holds_to afterwards) of ``walk`` at each
+    level: one pass resuming on one copy of cs, then a fresh copy per level."""
+    copies = [fresh(cs)] * len(levels) + [fresh(cs) for _ in levels]
+    return [(*walk(copy, n), copy.d2_holds_to) for copy, n in zip(copies, levels * 2)]
+
+
+def assert_candidates_agree(cs, levels):
+    # The walk over the column test's candidate pairs gives what the
+    # per-set kernel over every element gives.
+    assert d2_walks(cs, levels, axioms._first_d2_violation) == d2_walks(
+        cs, levels, scan_oracles.first_d2_violation_by_images
+    )
+
+
+def test_candidate_walk_agrees_on_every_contact_to_size_seven():
+    checked = 0
+    for cs in small_contacts(7):
+        assert_candidates_agree(cs, (1, 2, 3, len(cs.contact.noncontact_pairs())))
+        checked += 1
+    assert checked == 2043
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_candidate_walk_agrees_on_separators(n):
+    assert_candidates_agree(build_separator(n).structure, tuple(range(1, n + 1)))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(overlap_closures(), st.data())
+def test_candidate_walk_agrees_off_a_weak_contact(cs, data):
+    # One-sided toggles: asymmetric relations, rows that are not up-closed,
+    # a bit in row 0 or a missing diagonal bit.
+    index = st.integers(min_value=0, max_value=cs.size - 1)
+    i, j = data.draw(st.tuples(index, index))
+    bad = flipped(cs, i, j, False)
+    assert_candidates_agree(bad, (1, 2, 3, len(bad.contact.noncontact_pairs())))
+
+
+def test_candidate_walk_with_no_candidate():
+    # On the four-element Boolean algebra, 2 d 1 on one side only: the
+    # column test fires on (2, 1), but no contact pair (a, b) with a <= b
+    # has disjoint images, so the walk finds no witness at any level.
+    lattice = FiniteJoinSemilattice(2, (0b00, 0b01, 0b10, 0b11))
+    cs = flipped(ContactStructure(lattice, core.overlap_contact(lattice)), 2, 1, False)
+    assert cs.contact.noncontact_pairs() == [(1, 2)]
+    assert axioms._d2_violated(cs)
+    assert_candidates_agree(cs, (1, 2))
+    assert axioms._first_d2_violation(fresh(cs), 1) == (None, None, 7)
+
+
+@pytest.mark.parametrize(
+    "n, witness, examined",
+    [(7, {"a": 96, "b": 248}, 687040), (8, {"a": 192, "b": 503}, 4366558)],
+    ids=["7", "8"],
+)
+def test_separator_ladder(n, witness, examined):
+    # d2 passes below level n and fails at n, one resuming call per level.
+    cs = build_separator(n).structure
+    verdicts = [axioms.check_d2(cs, k) for k in range(1, n + 1)]
+    assert [v.passed for v in verdicts] == [True] * (n - 1) + [False]
+    assert dict(verdicts[-1].witness.elements) == witness
+    assert verdicts[-1].examined == examined
